@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from .criteria import full_report
 from .params import ValidationError, parse
-from .search import SearchSpec, run_search
+from .search import CheckpointError, SearchSpec, run_search
 from .tables import EMPTY_PARTITIONS, POSSIBLE_D, reproduce_special
 
 SCHEMA_VERSION = 1
@@ -59,7 +59,11 @@ def _cmd_search(args) -> int:
     except (ValueError, TypeError) as exc:
         print(f"bad search spec: {exc}", file=sys.stderr)
         return 2
-    results = run_search(spec)
+    try:
+        results = run_search(spec)
+    except CheckpointError as exc:
+        print(f"bad checkpoint: {exc}", file=sys.stderr)
+        return 2
     if args.format == "tsv":
         print("n\td\talpha\tbeta\tc")
         for r in results:
@@ -183,7 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d-max", type=int, required=True)
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--limit", type=int, default=None)
-    sp.add_argument("--dedup", action="store_true")
+    sp.add_argument(
+        "--dedup",
+        action="store_true",
+        help="keep one representative per scaling orbit; needs --strict-criteria",
+    )
     sp.add_argument("--checkpoint", default=None)
     sp.add_argument(
         "--strict-criteria",

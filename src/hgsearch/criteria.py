@@ -290,20 +290,28 @@ def e_basis(d: int) -> List[IntFunction]:
 
 
 @lru_cache(maxsize=None)
-def _first_basis(d: int):
-    """Pivot columns of the epsilon spanning set, scanned in listed order.
+def _solve_transform(d: int):
+    """One Gauss-Jordan pass over [M | I], where M has the epsilon spanning
+    set as columns over the d-1 points and pivots are taken column by column
+    in listed order.
 
-    Solving against this fixed basis (all other coefficients zero) mirrors
-    the published computation, which inverted the matrix of one chosen set
-    of basis elements rather than searching the full solution lattice.
+    Returns (idx, cols, piv, t, den) with t the integer rows of den * T, where
+    T is the accumulated row transform: T M_piv = [I; 0].  So the first
+    len(piv) rows of t give den times the pivot coefficients of f, and the
+    remaining rows vanish on f exactly when f lies in the span.
     """
     idx = e_basis_index(d)
     cols = [epsilon(d, k, a).values for k, a in idx]
-    rows = d - 1
-    mat = [[Fraction(cols[j][i]) for j in range(len(cols))] for i in range(rows)]
+    rows, m = d - 1, len(cols)
+    mat = [
+        [Fraction(cols[j][i]) for j in range(m)] + [Fraction(int(i == k)) for k in range(rows)]
+        for i in range(rows)
+    ]
     piv = []
     r = 0
-    for j in range(len(cols)):
+    for j in range(m):
+        if r == rows:
+            break
         sel = next((i for i in range(r, rows) if mat[i][j] != 0), None)
         if sel is None:
             continue
@@ -312,49 +320,39 @@ def _first_basis(d: int):
         mat[r] = [x / pv for x in mat[r]]
         for i in range(rows):
             if i != r and mat[i][j] != 0:
-                f = mat[i][j]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                fac = mat[i][j]
+                mat[i] = [a - fac * b for a, b in zip(mat[i], mat[r])]
         piv.append(j)
         r += 1
-        if r == rows:
-            break
-    return idx, cols, tuple(piv)
+    den = math.lcm(*(x.denominator for row in mat for x in row[m:]))
+    t = tuple(tuple(int(x * den) for x in row[m:]) for row in mat)
+    return idx, cols, tuple(piv), t, den
+
+
+def _first_basis(d: int):
+    """Pivot columns of the epsilon spanning set, scanned in listed order.
+
+    Solving against this fixed basis (all other coefficients zero) mirrors
+    the published computation, which inverted the matrix of one chosen set
+    of basis elements rather than searching the full solution lattice.
+    """
+    return _solve_transform(d)[:3]
 
 
 def solve_in_E_basis(f: IntFunction) -> Optional[Dict[Tuple[int, int], int]]:
     """The unique solution supported on the fixed pivot basis, or None when
     it is inconsistent or non-integral."""
-    d = f.d
-    idx, cols, piv = _first_basis(d)
-    rows = d - 1
-    aug = [
-        [Fraction(cols[j][i]) for j in piv] + [Fraction(f.values[i])]
-        for i in range(rows)
-    ]
-    r = 0
-    pivrow = {}
-    for j in range(len(piv)):
-        sel = next((i for i in range(r, rows) if aug[i][j] != 0), None)
-        if sel is None:
-            return None
-        aug[r], aug[sel] = aug[sel], aug[r]
-        pv = aug[r][j]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][j] != 0:
-                fac = aug[i][j]
-                aug[i] = [a - fac * b for a, b in zip(aug[i], aug[r])]
-        pivrow[j] = r
-        r += 1
-    for i in range(r, rows):
-        if aug[i][-1] != 0:
-            return None
+    idx, _, piv, t, den = _solve_transform(f.d)
+    v = f.values
+    r = len(piv)
+    if any(sum(a * b for a, b in zip(row, v)) for row in t[r:]):
+        return None
     out = {}
-    for j, col in enumerate(piv):
-        v = aug[pivrow[j]][-1]
-        if v.denominator != 1:
+    for j, row in zip(piv, t):
+        q, rem = divmod(sum(a * b for a, b in zip(row, v)), den)
+        if rem:
             return None
-        out[idx[col]] = int(v)
+        out[idx[j]] = q
     return out
 
 
@@ -392,33 +390,30 @@ def gamma_exponents(x: Dict[Tuple[int, int], int], d: int) -> GammaExponents:
     """Exponent bookkeeping for the gamma factor attached to a coefficient
     vector over the epsilon spanning set."""
     primes = _prime_divisors(d)
-    yp: Dict[int, Fraction] = {pp: Fraction(0) for pp in primes}
-    y1 = Fraction(0)
+    # y1 = sum over k=1 of coeff*a/d, plus over k=p of coeff*(a*k/d + (k-1)/4);
+    # y_p = sum over k=p of coeff*(1/2 - a/d).  Numerators over 4d and 2d.
+    num1 = 0
+    nump = dict.fromkeys(primes, 0)
     for (k, a), coeff in x.items():
-        if coeff == 0:
-            continue
         if k == 1:
-            y1 += coeff * Fraction(a, d)
+            num1 += 4 * coeff * a
         else:
-            yp[k] += coeff * (Fraction(1, 2) - Fraction(a, d))
-            y1 += coeff * (Fraction(a * k, d) + Fraction(k - 1, 4))
-    b1 = y1.denominator
-    bp: Dict[int, int] = {}
-    for pp in primes:
-        if d % 4 == 0 or pp % 4 == 1:
-            bp[pp] = (2 * yp[pp]).denominator
-        else:
-            bp[pp] = yp[pp].denominator
-    return GammaExponents(y1=y1, yp=yp, b1=b1, bp=bp)
+            nump[k] += coeff * (d - 2 * a)
+            num1 += coeff * (4 * a * k + (k - 1) * d)
+    y1 = Fraction(num1, 4 * d)
+    yp = {pp: Fraction(nump[pp], 2 * d) for pp in primes}
+    bp = {pp: _b_p(yp[pp], pp, d) for pp in primes}
+    return GammaExponents(y1=y1, yp=yp, b1=y1.denominator, bp=bp)
 
 
-def _coprimality_ok(g: GammaExponents, d: int, n: int) -> bool:
-    for pp, b in g.bp.items():
-        if math.gcd(b, n) != 1:
-            return False
-    m = math.lcm(2 * g.b1, d)
-    phi_ratio = _phi(m) // _phi(d)
-    return math.gcd(phi_ratio, n) == 1
+def _b_p(yp: Fraction, pp: int, d: int) -> int:
+    return (2 * yp).denominator if d % 4 == 0 or pp % 4 == 1 else yp.denominator
+
+
+def _coprimality_ok(b1: int, bps: Iterable[int], d: int, n: int) -> bool:
+    if any(math.gcd(b, n) != 1 for b in bps):
+        return False
+    return math.gcd(_phi(math.lcm(2 * b1, d)) // _phi(d), n) == 1
 
 
 @lru_cache(maxsize=None)
@@ -464,28 +459,23 @@ def _exists_good_solution(coeffs: Dict[Tuple[int, int], int], d: int, n: int) ->
     satisfies the coprimality conditions.  The conditions only depend on the
     y-values mod 1, so it suffices to scan the finite coset of the kernel
     image group."""
-    primes = tuple(_prime_divisors(d))
-    base = _image(coeffs, d, primes)
-    for shift in _kernel_image_group(d):
-        y1 = base[0] + shift[0]
-        yp = {pp: base[1 + i] + shift[1 + i] for i, pp in enumerate(primes)}
-        g = GammaExponents(y1=y1, yp=yp, b1=y1.denominator, bp={})
-        bp = {}
-        ok = True
-        for pp in primes:
-            if d % 4 == 0 or pp % 4 == 1:
-                bp[pp] = (2 * yp[pp]).denominator
-            else:
-                bp[pp] = yp[pp].denominator
-            if math.gcd(bp[pp], n) != 1:
-                ok = False
-                break
-        if not ok:
-            continue
-        m = math.lcm(2 * y1.denominator, d)
-        if math.gcd(_phi(m) // _phi(d), n) == 1:
-            return True
-    return False
+    return _good_coset(d, n, _image(coeffs, d, tuple(_prime_divisors(d))))
+
+
+@lru_cache(maxsize=None)
+def _good_coset(d: int, n: int, base: Tuple[Fraction, ...]) -> bool:
+    # The images have denominators dividing 4d, so for each (d, n) there are
+    # finitely many keys.
+    primes = _prime_divisors(d)
+    return any(
+        _coprimality_ok(
+            (base[0] + shift[0]).denominator,
+            (_b_p(y + z, pp, d) for y, z, pp in zip(base[1:], shift[1:], primes)),
+            d,
+            n,
+        )
+        for shift in _kernel_image_group(d)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +483,11 @@ def _exists_good_solution(coeffs: Dict[Tuple[int, int], int], d: int, n: int) ->
 
 
 def _w_value(p: HgParam, c: Tuple[int, int, int], s: int) -> int:
-    d, n = p.d, p.n
-    v = 0
-    for bj in p.betas:
-        v += sum(bracket(s * (bj - a), d) for a in p.alphas)
-        v -= sum(bracket(s * (bj - b), d) for b in p.betas)
-    v += n * sum(bracket(s * ci, d) for ci in c)
-    return v
+    return sum(_reg_values(p, s)) + p.n * _bracket_sum(c, s, p.d)
+
+
+def _bracket_sum(c: Tuple[int, int, int], s: int, d: int) -> int:
+    return sum(bracket(s * ci, d) for ci in c)
 
 
 def _clause_iii(p: HgParam) -> bool:
@@ -519,7 +507,8 @@ def _clause_iv(p: HgParam, f: IntFunction, published: bool) -> bool:
         coeffs = solve_in_E_basis(f)
         if coeffs is None:
             return False
-        return _coprimality_ok(gamma_exponents(coeffs, p.d), p.d, p.n)
+        g = gamma_exponents(coeffs, p.d)
+        return _coprimality_ok(g.b1, g.bp.values(), p.d, p.n)
     try:
         coeffs, _ = solve_in_E(f)
     except NoSolution:
@@ -557,19 +546,37 @@ def _c_candidates(d: int) -> Iterable[Tuple[int, int, int]]:
                 yield (c1, c2, c3)
 
 
+@lru_cache(maxsize=None)
+def _c_index(d: int) -> Dict[Tuple[int, ...], List[Tuple[int, int, int]]]:
+    """The c-triples grouped by their profile (S_c(s) - S_c(u_0)) over the
+    units s, where S_c(s) = sum_i [s c_i]; each group in _c_candidates order."""
+    us = units(d)
+    index: Dict[Tuple[int, ...], List[Tuple[int, int, int]]] = {}
+    for c in _c_candidates(d):
+        s0 = _bracket_sum(c, us[0], d)
+        key = tuple(_bracket_sum(c, s, d) - s0 for s in us)
+        index.setdefault(key, []).append(c)
+    return index
+
+
 def find_c(p: HgParam, published: bool = True) -> Optional[Tuple[int, int, int]]:
     """First admissible c-triple making (D) hold, scanning (0,0,0) then the
-    all-nonzero triples in lexicographic order."""
+    all-nonzero triples in lexicographic order.
+
+    w(s) = base(s) + n S_c(s) with base(s) the sum of _reg_values(p, s), so
+    w is constant over the units exactly when the profile of c equals
+    ((base(u_0) - base(s)) / n)_s; only the triples with that profile are
+    tested with clause (iv)."""
     if not is_regular(p):
         return None
     if not _clause_iii(p):
         return None
-    d = p.d
-    us = units(d)
-    for c in _c_candidates(d):
-        w0 = _w_value(p, c, us[0])
-        if any(_w_value(p, c, s) != w0 for s in us[1:]):
-            continue
+    d, n = p.d, p.n
+    base = [sum(_reg_values(p, s)) for s in units(d)]
+    gaps = [base[0] - b for b in base]
+    if any(g % n for g in gaps):
+        return None
+    for c in _c_index(d).get(tuple(g // n for g in gaps), ()):
         if _clause_iv(p, build_f(p, c), published):
             return c
     return None

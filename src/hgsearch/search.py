@@ -42,6 +42,26 @@ class SearchSpec:
             raise ValueError("partition does not sum to n")
         if tuple(sorted(self.partition, reverse=True)) != tuple(self.partition):
             raise ValueError("partition must be non-increasing")
+        # Published-mode (D) solves on a fixed pivot basis and is not
+        # scaling-invariant, so one orbit member cannot stand for the rest.
+        if self.dedup_by_scaling and self.published:
+            raise ValueError("dedup by scaling needs the strict criteria")
+
+    def fingerprint(self) -> dict:
+        """The fields besides the chunk key that change a chunk's results."""
+        return {
+            "published": self.published,
+            "check_r": self.check_r,
+            "check_bm": self.check_bm,
+            "check_d": self.check_d,
+            "dedup_by_scaling": self.dedup_by_scaling,
+            "limit": self.limit,
+        }
+
+
+class CheckpointError(ValueError):
+    """A checkpoint that cannot be resumed: a corrupt line, or records
+    written under a different search spec."""
 
 
 def enumerate_alphas(d: int, partition: Sequence[int]) -> Iterator[Tuple[int, ...]]:
@@ -141,16 +161,34 @@ def _orbit_representative(p: HgParam) -> Tuple[Tuple[int, ...], Tuple[int, ...]]
     return q.alphas, q.betas
 
 
-def _load_checkpoint(path: Optional[str]) -> Dict[str, List[dict]]:
+def _load_checkpoint(path: Optional[str], fingerprint: dict) -> Dict[str, List[dict]]:
+    """Chunk results recorded at path.  A last line that does not parse, or
+    lacks its newline, is a write cut short: it is dropped, and cut from the
+    file so that new records start on a line of their own.  A bad line
+    anywhere else, or a record written under another fingerprint, raises
+    CheckpointError."""
     done: Dict[str, List[dict]] = {}
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                done[rec["key"]] = rec["results"]
+    if not (path and os.path.exists(path)):
+        return done
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    last = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
+    good_end = 0
+    for i, line in enumerate(lines[: last + 1]):
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            if i < last:
+                raise CheckpointError(f"{path}: line {i + 1} does not parse: {exc}") from exc
+            rec = None
+        if i == last and (rec is None or not line.endswith(b"\n")):
+            os.truncate(path, good_end)
+            break
+        spec = rec.get("spec") if isinstance(rec, dict) else None
+        if spec != fingerprint:
+            raise CheckpointError(f"{path}: line {i + 1} was written with {spec}, not {fingerprint}")
+        done[rec["key"]] = rec["results"]
+        good_end += len(line)
     return done
 
 
@@ -172,24 +210,25 @@ def run_search(spec: SearchSpec) -> List[dict]:
                     spec.published,
                 )
             )
-    done = _load_checkpoint(spec.checkpoint)
+    fingerprint = spec.fingerprint()
+    done = _load_checkpoint(spec.checkpoint, fingerprint)
     todo = [c for c in chunks if _chunk_key(c[0], c[1]) not in done]
     ckpt = open(spec.checkpoint, "a") if spec.checkpoint else None
+
+    def record(key: str, results: List[dict]) -> None:
+        done[key] = results
+        if ckpt:
+            ckpt.write(json.dumps({"key": key, "spec": fingerprint, "results": results}) + "\n")
+            ckpt.flush()
+
     try:
         if spec.workers > 1 and len(todo) > 1:
             with multiprocessing.Pool(spec.workers) as pool:
                 for key, results in pool.imap_unordered(search_chunk, todo):
-                    done[key] = results
-                    if ckpt:
-                        ckpt.write(json.dumps({"key": key, "results": results}) + "\n")
-                        ckpt.flush()
+                    record(key, results)
         else:
             for chunk in todo:
-                key, results = search_chunk(chunk)
-                done[key] = results
-                if ckpt:
-                    ckpt.write(json.dumps({"key": key, "results": results}) + "\n")
-                    ckpt.flush()
+                record(*search_chunk(chunk))
     finally:
         if ckpt:
             ckpt.close()

@@ -39,6 +39,22 @@ def test_search_tsv(capsys):
     assert any("1,2,6" in line for line in out.splitlines())
 
 
+def test_search_dedup_needs_strict(capsys):
+    args = ["search", "--n", "3", "--partition", "3", "--d-min", "9", "--d-max", "9", "--dedup"]
+    assert main(args) == 2
+    assert "bad search spec" in capsys.readouterr().err
+    assert main(args + ["--strict-criteria"]) == 0
+
+
+def test_search_checkpoint_mismatch(tmp_path, capsys):
+    ck = str(tmp_path / "ck.jsonl")
+    args = ["search", "--n", "3", "--partition", "3", "--d-min", "9", "--d-max", "9"]
+    assert main(args + ["--checkpoint", ck]) == 0
+    capsys.readouterr()
+    assert main(args + ["--checkpoint", ck, "--strict-criteria"]) == 2
+    assert "bad checkpoint" in capsys.readouterr().err
+
+
 def test_verify_monodromy(capsys):
     rc = main(["verify-monodromy", "--param", "d=9;a=0,0,0;b=1,2,6"])
     out = json.loads(capsys.readouterr().out)

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from hgsearch.criteria import (
 )
 from hgsearch.params import HgParam, parse, scale
 from hgsearch.residues import UnitSubgroup, units
+from hgsearch.search import _candidate_params, enumerate_alphas
 
 P9 = parse("d=9;a=0,0,0;b=1,2,6")
 P18 = parse("d=18;a=0,0,0,3;b=4,11,16,17;c=1,7,10")
@@ -225,3 +228,164 @@ def test_full_report_shape():
     assert d["BM"]["pass"] is True
     assert d["D"]["pass"] is True
     assert d["UM"] == [3]
+
+
+def _reference_solve(f):
+    """Fraction Gauss-Jordan on [M_piv | f]: the rational solution on the
+    pivot basis, or None when f is outside the span."""
+    from hgsearch.criteria import _first_basis
+
+    idx, cols, piv = _first_basis(f.d)
+    rows = f.d - 1
+    aug = [
+        [Fraction(cols[j][i]) for j in piv] + [Fraction(f.values[i])]
+        for i in range(rows)
+    ]
+    r = 0
+    for j in range(len(piv)):
+        sel = next(i for i in range(r, rows) if aug[i][j] != 0)
+        aug[r], aug[sel] = aug[sel], aug[r]
+        pv = aug[r][j]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][j] != 0:
+                fac = aug[i][j]
+                aug[i] = [a - fac * b for a, b in zip(aug[i], aug[r])]
+        r += 1
+    if any(aug[i][-1] != 0 for i in range(r, rows)):
+        return None
+    return {idx[col]: aug[j][-1] for j, col in enumerate(piv)}
+
+
+def _solver_cases(d, rng):
+    """Integer f of every kind: pivot combinations (they solve), the same
+    divided by the gcd of their values or nudged by 1 at one point, every
+    epsilon column, and random vectors."""
+    from hgsearch.criteria import _first_basis
+
+    _, cols, piv = _first_basis(d)
+    out = [list(col) for col in cols]
+    for _ in range(6):
+        f = [0] * (d - 1)
+        for j in rng.sample(piv, min(3, len(piv))):
+            co = rng.choice((-3, -2, -1, 1, 2, 3))
+            f = [a + co * b for a, b in zip(f, cols[j])]
+        out.append(f)
+        g = math.gcd(*f)
+        if g > 1:
+            out.append([v // g for v in f])
+        nudged = list(f)
+        nudged[rng.randrange(d - 1)] += rng.choice((-1, 1))
+        out.append(nudged)
+        out.append([rng.randint(-4, 4) for _ in range(d - 1)])
+    return out
+
+
+def test_solve_in_E_basis_matches_fraction_reference():
+    # every outcome (solved, non-integral, outside the span) must occur and
+    # the integer transform must agree with the Fraction elimination on each
+    rng = random.Random(20)
+    seen = {"solved": 0, "non-integral": 0, "inconsistent": 0}
+    for d in range(3, 31):
+        for values in _solver_cases(d, rng):
+            f = IntFunction(d, values)
+            want = _reference_solve(f)
+            if want is None:
+                kind = "inconsistent"
+            elif any(v.denominator != 1 for v in want.values()):
+                kind, want = "non-integral", None
+            else:
+                kind = "solved"
+            seen[kind] += 1
+            got = solve_in_E_basis(f)
+            assert got == want, (d, values, kind)
+            if got is not None:
+                assert list(got) == list(want)
+    assert all(seen.values()), seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 30), st.data())
+def test_solve_in_E_basis_property(d, data):
+    from hgsearch.criteria import _first_basis
+
+    _, cols, piv = _first_basis(d)
+    f = [0] * (d - 1)
+    for j in data.draw(st.sets(st.sampled_from(piv), min_size=1, max_size=4)):
+        co = data.draw(st.integers(-4, 4))
+        f = [a + co * b for a, b in zip(f, cols[j])]
+    div = data.draw(st.sampled_from([g for g in (1, 2, 3, 4) if all(v % g == 0 for v in f)]))
+    f = [v // div for v in f]
+    if data.draw(st.booleans()):
+        f[data.draw(st.integers(0, d - 2))] += data.draw(st.sampled_from((-1, 1)))
+    want = _reference_solve(IntFunction(d, f))
+    if want is not None and any(v.denominator != 1 for v in want.values()):
+        want = None
+    assert solve_in_E_basis(IntFunction(d, f)) == want
+
+
+def _reference_find_c(p, published):
+    from hgsearch.criteria import _c_candidates, _clause_iii, _clause_iv, _w_value
+
+    if not is_regular(p) or not _clause_iii(p):
+        return None
+    us = units(p.d)
+    for c in _c_candidates(p.d):
+        if len({_w_value(p, c, s) for s in us}) == 1 and _clause_iv(p, build_f(p, c), published):
+            return c
+    return None
+
+
+def test_find_c_matches_lexicographic_scan():
+    # regular parameters as the search enumerates them, in both modes
+    pool = [
+        p
+        for d in range(5, 17)
+        for part in ((3,), (2, 2), (3, 1))
+        for alphas in enumerate_alphas(d, part)
+        for p in _candidate_params(d, alphas)
+        if is_regular(p)
+    ]
+    found = {True: 0, False: 0}
+    for p in random.Random(7).sample(pool, 60):
+        for published in (True, False):
+            c = find_c(p, published)
+            assert c == _reference_find_c(p, published), (p.literal(), published)
+            found[published] += c is not None
+    assert 0 < found[True] < 60 and 0 < found[False] < 60, found
+
+
+def test_coset_test_matches_direct_scan():
+    from hgsearch.criteria import (
+        _exists_good_solution,
+        _image,
+        _kernel_image_group,
+        _phi,
+        _prime_divisors,
+    )
+
+    def direct(coeffs, d, n):
+        primes = _prime_divisors(d)
+        base = _image(coeffs, d, tuple(primes))
+        for shift in _kernel_image_group(d):
+            y1 = base[0] + shift[0]
+            bps = [
+                (2 * y).denominator if d % 4 == 0 or pp % 4 == 1 else y.denominator
+                for y, pp in ((base[1 + i] + shift[1 + i], pp) for i, pp in enumerate(primes))
+            ]
+            if all(math.gcd(b, n) == 1 for b in bps):
+                if math.gcd(_phi(math.lcm(2 * y1.denominator, d)) // _phi(d), n) == 1:
+                    return True
+        return False
+
+    rng = random.Random(3)
+    outcomes = set()
+    for d in range(3, 25):
+        idx = e_basis_index(d)
+        for _ in range(20):
+            coeffs = {key: rng.randint(-6, 6) for key in rng.sample(idx, min(len(idx), 5))}
+            for n in (3, 4, 6):
+                want = direct(coeffs, d, n)
+                assert _exists_good_solution(coeffs, d, n) == want, (d, n, coeffs)
+                outcomes.add(want)
+    assert outcomes == {True, False}

@@ -6,6 +6,7 @@ import pytest
 from hgsearch.criteria import bm, det_condition, is_regular, jordan_blocks
 from hgsearch.params import validate
 from hgsearch.search import (
+    CheckpointError,
     SearchSpec,
     enumerate_alphas,
     enumerate_betas,
@@ -109,9 +110,67 @@ def test_checkpoint_resume(tmp_path):
     with open(ck) as fh:
         lines = [json.loads(line) for line in fh]
     assert lines
+    assert all(rec["spec"] == spec.fingerprint() for rec in lines)
     # second run must reuse the checkpoint and agree
     second = run_search(spec)
     assert first == second
+
+
+def _checkpointed(tmp_path, **kw):
+    ck = str(tmp_path / "ck.jsonl")
+    spec = SearchSpec(n=3, partition=(3,), d_min=4, d_max=10, checkpoint=ck, **kw)
+    return ck, spec
+
+
+def test_checkpoint_torn_last_line_resumes(tmp_path):
+    ck, spec = _checkpointed(tmp_path)
+    fresh = run_search(spec)
+    with open(ck) as fh:
+        lines = fh.readlines()
+    assert len(lines) > 2
+    with open(ck, "w") as fh:
+        fh.writelines(lines[:-1])
+        fh.write(lines[-1][: len(lines[-1]) // 2])
+    assert run_search(spec) == fresh
+    # the torn record was replaced, so the file is whole again
+    with open(ck) as fh:
+        resumed = [json.loads(line) for line in fh]
+    assert sorted(r["key"] for r in resumed) == sorted(json.loads(line)["key"] for line in lines)
+    assert run_search(spec) == fresh
+
+
+def test_checkpoint_bad_inner_line_raises(tmp_path):
+    ck, spec = _checkpointed(tmp_path)
+    run_search(spec)
+    with open(ck) as fh:
+        lines = fh.readlines()
+    lines[0] = lines[0][: len(lines[0]) // 2] + "\n"
+    with open(ck, "w") as fh:
+        fh.writelines(lines)
+    with pytest.raises(CheckpointError):
+        run_search(spec)
+
+
+def test_checkpoint_refuses_another_mode(tmp_path):
+    ck, spec = _checkpointed(tmp_path)
+    run_search(spec)
+    strict = SearchSpec(n=3, partition=(3,), d_min=4, d_max=10, checkpoint=ck, published=False)
+    with pytest.raises(ValueError):
+        run_search(strict)
+    limited = SearchSpec(n=3, partition=(3,), d_min=4, d_max=10, checkpoint=ck, limit=1)
+    with pytest.raises(ValueError):
+        run_search(limited)
+
+
+def test_dedup_needs_strict_criteria():
+    with pytest.raises(ValueError):
+        SearchSpec(n=4, partition=(3, 1), d_min=18, d_max=18, dedup_by_scaling=True)
+    spec = SearchSpec(
+        n=3, partition=(3,), d_min=9, d_max=9, dedup_by_scaling=True, published=False
+    )
+    full = run_search(SearchSpec(n=3, partition=(3,), d_min=9, d_max=9, published=False))
+    dedup = run_search(spec)
+    assert dedup and all(r in full for r in dedup)
 
 
 def test_find_witness():
