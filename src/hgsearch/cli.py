@@ -138,7 +138,11 @@ def _cmd_verify_ode(args) -> int:
     except (ValidationError, ValueError) as exc:
         print(f"bad parameter literal: {exc}", file=sys.stderr)
         return 2
-    results = {j: verify_annihilation(p, j, args.order) for j in range(1, p.n + 1)}
+    try:
+        results = {j: verify_annihilation(p, j, args.order) for j in range(1, p.n + 1)}
+    except ValueError as exc:
+        print(f"bad ode check: {exc}", file=sys.stderr)
+        return 2
     _emit(
         {"param": p.literal(), "order": args.order, "annihilated": results},
         args.format,
@@ -147,15 +151,19 @@ def _cmd_verify_ode(args) -> int:
 
 
 def _cmd_verify_jacobi(args) -> int:
-    from .jacobi import hodge_newton_check, motive_valuations
+    from .jacobi import PrecisionExhausted, hodge_newton_check, motive_valuations
 
     try:
         p = parse(args.param)
     except (ValidationError, ValueError) as exc:
         print(f"bad parameter literal: {exc}", file=sys.stderr)
         return 2
-    vals = motive_valuations(p, args.ell, args.prec)
-    match = hodge_newton_check(p, args.ell, args.prec)
+    try:
+        match = hodge_newton_check(p, args.ell, args.prec)
+        vals = motive_valuations(p, args.ell, args.prec)
+    except (ValueError, PrecisionExhausted) as exc:
+        print(f"bad jacobi check: {exc}", file=sys.stderr)
+        return 2
     payload = {
         "embeddings": {str(s): {"valuations": v} for s, v in vals.items()},
         "hodge_match": match,

@@ -1,8 +1,13 @@
 """Exact arithmetic and linear algebra over cyclotomic fields Q(zeta_m).
 
-Elements are represented by their coefficient vector in Q[X]/(Phi_m),
-length phi(m), with Fraction coefficients, so equality is canonical.
-No floating point anywhere: rank and determinant decisions must be exact.
+An element is stored as integer numerators over one positive common
+denominator: num/den, where num is its coefficient vector in Z[X]/(Phi_m),
+length phi(m), and gcd(den, num) = 1, so equality is canonical.  Phi_m is
+monic with integer coefficients, so +, - and * are integer convolution plus
+one integer reduction, and inv divides the product of the conjugates by
+the integer norm.  Fraction appears only where rationals enter or leave
+(the constructor, from_rational, coeffs).  No floating point anywhere:
+rank and determinant decisions must be exact.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
+
+from .residues import units
 
 
 @lru_cache(maxsize=None)
@@ -41,47 +48,79 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-def _phi(m: int) -> int:
-    return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+@lru_cache(maxsize=None)
+def _ring(m: int) -> tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """phi(m); the nonzero coefficients below the leading one of Phi_m, as
+    (degree, coefficient) pairs, which reduction mod Phi_m needs; and the
+    units k != 1 mod m, whose zeta -> zeta^k are the other conjugations."""
+    phi = cyclotomic_poly(m)
+    deg = len(phi) - 1
+    low = tuple((j, c) for j, c in enumerate(phi[:deg]) if c)
+    return deg, low, tuple(k for k in units(m) if k != 1)
+
+
+def _cyc(level: int, num: list[int], den: int) -> "CycNum":
+    """The element num/den of Q(zeta_level) in canonical form.  num is an
+    integer coefficient list of any length; it is reduced in place."""
+    deg, low, _ = _ring(level)
+    if len(num) > deg:
+        for i in range(len(num) - 1, deg - 1, -1):
+            c = num[i]
+            if c:
+                base = i - deg
+                for j, pj in low:
+                    num[base + j] -= c * pj
+        del num[deg:]
+    elif len(num) < deg:
+        num.extend([0] * (deg - len(num)))
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    out = object.__new__(CycNum)
+    out.level, out.num, out.den = level, tuple(num), den
+    return out
 
 
 class CycNum:
-    """An element of Q(zeta_m), reduced mod Phi_m."""
+    """An element num/den of Q(zeta_m), reduced mod Phi_m, in lowest terms."""
 
-    __slots__ = ("level", "coeffs")
+    __slots__ = ("level", "num", "den")
 
-    def __init__(self, level: int, coeffs: Sequence[Fraction]):
-        deg = len(cyclotomic_poly(level)) - 1
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > deg:
-            cs = _reduce(cs, cyclotomic_poly(level))
-        cs += [Fraction(0)] * (deg - len(cs))
-        self.level = level
-        self.coeffs = tuple(cs)
+    def __init__(self, level: int, coeffs: Sequence[int | Fraction]):
+        """The element with the given int or Fraction coefficients, low
+        degree first, of any length."""
+        den = math.lcm(*(c.denominator for c in coeffs))
+        x = _cyc(level, [c.numerator * (den // c.denominator) for c in coeffs], den)
+        self.level, self.num, self.den = x.level, x.num, x.den
 
     # --- constructors -------------------------------------------------
     @staticmethod
     def from_rational(level: int, q) -> "CycNum":
-        return CycNum(level, [Fraction(q)])
+        q = Fraction(q)
+        return _cyc(level, [q.numerator], q.denominator)
 
     @staticmethod
     def zero(level: int) -> "CycNum":
-        return CycNum.from_rational(level, 0)
+        return _cyc(level, [], 1)
 
     @staticmethod
     def one(level: int) -> "CycNum":
-        return CycNum.from_rational(level, 1)
+        return _cyc(level, [1], 1)
 
     # --- helpers ------------------------------------------------------
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients, low degree first."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     def _check(self, other: "CycNum") -> None:
         if self.level != other.level:
             raise ValueError(f"level mismatch: {self.level} vs {other.level}")
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return not any(self.num)
 
     def lift(self, new_level: int) -> "CycNum":
         """Embed Q(zeta_m) into Q(zeta_M) via zeta_m = zeta_M^(M/m)."""
@@ -90,37 +129,38 @@ class CycNum:
         if new_level % self.level != 0:
             raise ValueError(f"{self.level} does not divide {new_level}")
         step = new_level // self.level
-        out = [Fraction(0)] * (len(self.coeffs) * step)
-        for i, c in enumerate(self.coeffs):
-            out[i * step] = c
-        return CycNum(new_level, out)
+        out = [0] * (len(self.num) * step)
+        out[::step] = self.num
+        return _cyc(new_level, out, self.den)
 
     # --- arithmetic ---------------------------------------------------
     def __add__(self, other) -> "CycNum":
-        other = _coerce(other, self.level)
-        self._check(other)
-        return CycNum(self.level, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._plus(other, 1)
 
     def __sub__(self, other) -> "CycNum":
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int) -> "CycNum":
         other = _coerce(other, self.level)
         self._check(other)
-        return CycNum(self.level, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        return _cyc(self.level, [a * fa + b * fb for a, b in zip(self.num, other.num)], den)
 
     def __neg__(self) -> "CycNum":
-        return CycNum(self.level, [-a for a in self.coeffs])
+        return _cyc(self.level, [-a for a in self.num], self.den)
 
     def __mul__(self, other) -> "CycNum":
         other = _coerce(other, self.level)
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
+        a, b = self.num, other.num
+        prod = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    prod[i + j] += x * y
-        return CycNum(self.level, prod)
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        return _cyc(self.level, prod, self.den * other.den)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -129,15 +169,21 @@ class CycNum:
         return _coerce(other, self.level) - self
 
     def inv(self) -> "CycNum":
-        """Inverse via extended gcd with Phi_m in Q[X]."""
+        """Inverse through the norm: the product P of the conjugates of num
+        other than itself has num * P = N(num), a nonzero integer."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
-        phi = [Fraction(c) for c in cyclotomic_poly(self.level)]
-        a = list(self.coeffs)
-        g, s = _poly_xgcd(a, phi)
-        # g is a nonzero constant (Phi_m is irreducible)
-        assert len([c for c in g if c != 0]) == 1 and g[0] != 0
-        return CycNum(self.level, [c / g[0] for c in s])
+        level = self.level
+        x = _cyc(level, list(self.num), 1)
+        prod = CycNum.one(level)
+        for k in _ring(level)[2]:
+            conj = [0] * level
+            for i, c in enumerate(x.num):
+                conj[i * k % level] += c
+            prod = prod * _cyc(level, conj, 1)
+        norm = (x * prod).num[0]
+        sign = 1 if norm > 0 else -1
+        return _cyc(level, [sign * self.den * c for c in prod.num], sign * norm)
 
     def __truediv__(self, other) -> "CycNum":
         other = _coerce(other, self.level)
@@ -162,11 +208,12 @@ class CycNum:
         return (
             isinstance(other, CycNum)
             and self.level == other.level
-            and self.coeffs == other.coeffs
+            and self.num == other.num
+            and self.den == other.den
         )
 
     def __hash__(self) -> int:
-        return hash((self.level, self.coeffs))
+        return hash((self.level, self.num, self.den))
 
     def __repr__(self) -> str:
         terms = [
@@ -186,62 +233,10 @@ def _coerce(x, level: int) -> CycNum:
     raise TypeError(f"cannot coerce {type(x)} to CycNum")
 
 
-def _reduce(coeffs: list[Fraction], phi: tuple[int, ...]) -> list[Fraction]:
-    deg = len(phi) - 1
-    cs = coeffs[:]
-    for i in range(len(cs) - 1, deg - 1, -1):
-        c = cs[i]
-        if c == 0:
-            continue
-        for j in range(deg + 1):
-            cs[i - deg + j] -= c * phi[j]
-    return cs[:deg]
-
-
-def _poly_xgcd(a: list[Fraction], b: list[Fraction]):
-    """Extended Euclid in Q[X]; returns (g, s) with s*a = g mod b."""
-
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def divmod_(p, q):
-        p = p[:]
-        out = [Fraction(0)] * max(1, len(p) - len(q) + 1)
-        while len(p) >= len(q) and trim(p):
-            k = len(p) - len(q)
-            coef = p[-1] / q[-1]
-            out[k] = coef
-            for j, qq in enumerate(q):
-                p[k + j] -= coef * qq
-            trim(p)
-        return out, p if p else [Fraction(0)]
-
-    r0, r1 = trim(a[:]) or [Fraction(0)], trim(b[:]) or [Fraction(0)]
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    while trim(r1[:]):
-        q, r = divmod_(r0, r1)
-        r0, r1 = r1, trim(r) or [Fraction(0)]
-        # s_new = s0 - q * s1
-        prod = [Fraction(0)] * (len(q) + len(s1) - 1 if s1 else 1)
-        for i, x in enumerate(q):
-            if x == 0:
-                continue
-            for j, y in enumerate(s1):
-                prod[i + j] += x * y
-        ln = max(len(s0), len(prod))
-        s_new = [(s0[i] if i < len(s0) else 0) - (prod[i] if i < len(prod) else 0) for i in range(ln)]
-        s0, s1 = s1, s_new
-    return r0, s0
-
-
 def root_of_unity(m: int, k: int) -> CycNum:
     """zeta_m^k reduced mod Phi_m."""
     k %= m
-    coeffs = [Fraction(0)] * (k + 1)
-    coeffs[k] = Fraction(1)
-    return CycNum(m, coeffs)
+    return _cyc(m, [0] * k + [1], 1)
 
 
 def poly_from_roots(d: int, exponents: Sequence[int]) -> list[CycNum]:
@@ -255,6 +250,13 @@ def poly_from_roots(d: int, exponents: Sequence[int]) -> list[CycNum]:
             new[i] = new[i] - root * c
         coeffs = new
     return coeffs
+
+
+def _over_common_den(entries: Sequence[CycNum]) -> tuple[list[list[tuple[int, int]]], int]:
+    """The entries as numerators over their least common denominator: per
+    entry the nonzero (degree, numerator) pairs, and that denominator."""
+    den = math.lcm(*(x.den for x in entries))
+    return [[(i, c * (den // x.den)) for i, c in enumerate(x.num) if c] for x in entries], den
 
 
 class CycMatrix:
@@ -293,31 +295,40 @@ class CycMatrix:
         )
 
     def __mul__(self, other: "CycMatrix") -> "CycMatrix":
+        """Each entry is one integer sum of row-by-column products over the
+        common denominator of its row and column, reduced once."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        zero = CycNum.zero(self.level)
+        level = self.level
+        width = 2 * _ring(level)[0] - 1
+        rows = [_over_common_den(row) for row in self.entries]
+        cols = [_over_common_den(col) for col in zip(*other.entries)]
         out = []
-        for i in range(self.rows):
+        for xs, xden in rows:
             row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
+            for ys, yden in cols:
+                acc = [0] * width
+                for x, y in zip(xs, ys):
+                    if x and y:
+                        for i, a in x:
+                            for j, b in y:
+                                acc[i + j] += a * b
+                row.append(_cyc(level, acc, xden * yden))
             out.append(row)
-        return CycMatrix(self.level, out)
+        return CycMatrix(level, out)
 
     def __pow__(self, k: int) -> "CycMatrix":
         if self.rows != self.cols:
             raise ValueError("power of non-square matrix")
-        out = CycMatrix.identity(self.level, self.rows)
+        out = None
         base = self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if k:
+                base = base * base
+        return CycMatrix.identity(self.level, self.rows) if out is None else out
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.entries for x in row)
@@ -369,8 +380,10 @@ class CycMatrix:
             self.level,
             [row + CycMatrix.identity(self.level, n).entries[i] for i, row in enumerate(self.entries)],
         )
-        ech, rank, _, _ = aug._eliminated()
-        if rank < n:
+        ech, _, _, _ = aug._eliminated()
+        # the identity block keeps the rank at n; a singular left block
+        # leaves the last row's left half zero
+        if n and ech[n - 1][n - 1].is_zero():
             raise ZeroDivisionError("singular matrix")
         return CycMatrix(self.level, [row[n:] for row in ech])
 
@@ -384,8 +397,8 @@ def unipotent_block_sizes(m: CycMatrix) -> list[int]:
     powers of (M - I): #blocks of size >= k is rank((M-I)^(k-1)) - rank((M-I)^k)."""
     n = m.rows
     nil = m - CycMatrix.identity(m.level, n)
-    powers = [CycMatrix.identity(m.level, n)]
-    for _ in range(n):
+    powers = [CycMatrix.identity(m.level, n), nil]
+    for _ in range(n - 1):
         powers.append(powers[-1] * nil)
     if not powers[n].is_zero():
         raise NotUnipotent("(M - I)^n != 0")

@@ -9,13 +9,11 @@ by the direct definitional sum (see tests).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cyclo import CycNum, _phi
+from .cyclo import CycNum, root_of_unity
 from .params import HgParam, a_vector
 from .residues import bracket, units
 
@@ -71,7 +69,10 @@ class PrimeFieldCtx:
         for k in range(ell - 1):
             self.dlog[x] = k
             x = x * self.g % ell
-        if x != 1 or len({self.g ** i % ell for i in range(ell - 1)}) != ell - 1:
+            if x == 1:
+                break
+        # a generator's powers first return to 1 at step l - 1
+        if x != 1 or k != ell - 2:
             raise ValueError(f"{self.g} does not generate F_{ell}^x")
 
     @staticmethod
@@ -92,27 +93,13 @@ class PrimeFieldCtx:
                 return g
         raise RuntimeError("no primitive root found")
 
-    def chi_exp(self, x: int, a: int) -> int:
-        """Exponent e with tau(x)^a = zeta_d^e."""
-        x %= self.ell
-        if x == 0:
-            raise ValueError("chi of 0")
-        return a * self.dlog[x] % self.d
-
     def tau_minus_one_exp(self) -> int:
         return (self.ell - 1) // 2 % self.d
 
 
 @lru_cache(maxsize=None)
 def _zeta_power(d: int, e: int) -> CycNum:
-    from .cyclo import root_of_unity
-
     return root_of_unity(d, e % d)
-
-
-def chi(ctx: PrimeFieldCtx, x: int, a: int) -> CycNum:
-    """tau(x)^a as an exact element of Z[zeta_d]."""
-    return _zeta_power(ctx.d, ctx.chi_exp(x, a))
 
 
 def jacobi2(ctx: PrimeFieldCtx, a: int, b: int) -> CycNum:
@@ -120,14 +107,10 @@ def jacobi2(ctx: PrimeFieldCtx, a: int, b: int) -> CycNum:
     d, ell = ctx.d, ctx.ell
     if a % d == 0 or b % d == 0 or (a + b) % d == 0:
         raise DegenerateIndices(f"a={a}, b={b} mod {d}")
-    hist: Dict[int, int] = defaultdict(int)
+    coeffs = [0] * d  # coeffs[e]: minus the number of terms equal to zeta_d^e
     for x in range(2, ell):
-        e = (-a * ctx.dlog[x] - b * ctx.dlog[(1 - x) % ell]) % d
-        hist[e] += 1
-    out = CycNum.zero(d)
-    for e, cnt in hist.items():
-        out = out + cnt * _zeta_power(d, e)
-    return -out
+        coeffs[(-a * ctx.dlog[x] - b * ctx.dlog[(1 - x) % ell]) % d] -= 1
+    return CycNum(d, coeffs)
 
 
 def _gauss_product(ctx: PrimeFieldCtx, a_vec: Sequence[int]) -> Tuple[CycNum, int, int]:
@@ -189,7 +172,7 @@ def jacobi_direct(ctx: PrimeFieldCtx, a_vec: Sequence[int]) -> CycNum:
     m = len(a_vec)
     if m > 3 or ell > 31:
         raise TooLarge("direct summation is gated to m <= 3, l <= 31")
-    hist: Dict[int, int] = defaultdict(int)
+    hist = [0] * d  # hist[e] counts the terms equal to zeta_d^e
     if m == 1:
         x = (-1) % ell
         hist[(-a_vec[0] * ctx.dlog[x]) % d] += 1
@@ -212,10 +195,7 @@ def jacobi_direct(ctx: PrimeFieldCtx, a_vec: Sequence[int]) -> CycNum:
                     - a_vec[2] * ctx.dlog[x3]
                 ) % d
                 hist[e] += 1
-    out = CycNum.zero(d)
-    for e, cnt in hist.items():
-        out = out + cnt * _zeta_power(d, e)
-    return out if m % 2 == 0 else -out
+    return CycNum(d, hist if m % 2 == 0 else [-c for c in hist])
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +224,12 @@ def _hensel_roots(d: int, ell: int, prec: int) -> Dict[int, int]:
 
 
 def _embed(v: CycNum, omega: int, mod: int) -> int:
+    if v.den != 1:
+        raise ValueError("non-integral cyclotomic number")
     acc = 0
     pw = 1
-    for c in v.coeffs:
-        if c.denominator != 1:
-            raise ValueError("non-integral cyclotomic number")
-        acc = (acc + c.numerator * pw) % mod
+    for c in v.num:
+        acc = (acc + c * pw) % mod
         pw = pw * omega % mod
     return acc
 
@@ -270,6 +250,8 @@ def motive_valuations(p: HgParam, ell: int, prec: int = 40) -> Dict[int, List[in
     d = p.d
     if (ell - 1) % d != 0:
         raise ValueError("need l = 1 mod d")
+    if prec < 1:
+        raise ValueError(f"precision must be >= 1, got {prec}")
     ctx = PrimeFieldCtx(d, ell)
     avec = a_vector(p)
     sums = [jacobi(ctx, [(aj + bi) % d for aj in avec]) for bi in p.betas]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Tuple
 
 from .criteria import jordan_blocks, pseudoreflection_det
@@ -42,6 +43,14 @@ def levelt_matrices(p: HgParam) -> LeveltPair:
     return LeveltPair(a=_companion(ca), b=_companion(cb))
 
 
+@lru_cache(maxsize=1)
+def _levelt(p: HgParam) -> tuple[LeveltPair, CycMatrix]:
+    """The Levelt pair of p and A^{-1}B.  verify_levelt runs its checks on
+    one parameter in a row; keeping the last one lets them share one build."""
+    pair = levelt_matrices(p)
+    return pair, pair.a.inv() * pair.b
+
+
 def _char_poly_check(m: CycMatrix, d: int, exponents) -> bool:
     # evaluate det(xI - M) at each claimed root; cheap and exact
     for e in exponents:
@@ -62,8 +71,7 @@ def _char_poly_check(m: CycMatrix, d: int, exponents) -> bool:
 
 def verify_pseudoreflection(p: HgParam) -> bool:
     """rank(A^{-1}B - I) = 1 and det(A^{-1}B) = +1 (d odd) or -1 (d even)."""
-    pair = levelt_matrices(p)
-    m = pair.a.inv() * pair.b
+    _, m = _levelt(p)
     if (m - CycMatrix.identity(m.level, p.n)).rank() != 1:
         return False
     want = pseudoreflection_det(p.d)
@@ -73,20 +81,19 @@ def verify_pseudoreflection(p: HgParam) -> bool:
 def verify_infinity_blocks(p: HgParam) -> bool:
     """A^d is unipotent with Jordan block sizes equal to the alpha
     multiplicities."""
-    pair = levelt_matrices(p)
+    pair, _ = _levelt(p)
     ad = pair.a ** p.d
     return unipotent_block_sizes(ad) == jordan_blocks(p)
 
 
 def verify_det_identities(p: HgParam) -> bool:
-    pair = levelt_matrices(p)
+    pair, m = _levelt(p)
     level = pair.a.level
     one = CycNum.one(level)
     if (pair.a.det() ** p.d) != one:
         return False
     if (pair.b.det() ** p.d) != one:
         return False
-    m = pair.a.inv() * pair.b
     return m.det() == CycNum.from_rational(level, pseudoreflection_det(p.d))
 
 
@@ -103,16 +110,6 @@ def pochhammer(z: Fraction, j: int) -> Fraction:
     return out
 
 
-def kloosterman_coeff(r: List[int], q: List[int], l: int, m: int, d: int) -> Fraction:
-    """prod_i ((r_i+1)/d)_{q_i} / (l+1)_{m-l}; zero when some r_i = d-1."""
-    if any(ri == d - 1 for ri in r):
-        return Fraction(0)
-    num = Fraction(1)
-    for ri, qi in zip(r, q):
-        num *= pochhammer(Fraction(ri + 1, d), qi)
-    return num / pochhammer(Fraction(l + 1), m - l)
-
-
 @dataclass(frozen=True)
 class TruncSeries:
     exponent: int
@@ -125,6 +122,8 @@ def gj_coefficients(p: HgParam, j: int, big_k: int) -> TruncSeries:
     / ((d+[b_i-b_1]-[b_j-b_1])/d)_k, leading exponent [b_1-b_j]."""
     if not 1 <= j <= p.n:
         raise ValueError("j out of range")
+    if big_k < 0:
+        raise ValueError(f"order must be >= 0, got {big_k}")
     d = p.d
     b1 = p.betas[0]
     bj = p.betas[j - 1]
@@ -176,7 +175,7 @@ def verify_annihilation(p: HgParam, j: int, big_k: int) -> bool:
 
 def verify_levelt(p: HgParam) -> bool:
     """Bundle of the exact matrix checks, used by the CLI."""
-    pair = levelt_matrices(p)
+    pair, _ = _levelt(p)
     if not _char_poly_check(pair.a, p.d, p.alphas):
         return False
     if not _char_poly_check(pair.b, p.d, p.betas):

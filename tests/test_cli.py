@@ -87,3 +87,23 @@ def test_verify_jacobi(capsys):
     assert rc == 0
     assert out["hodge_match"] is True
     assert "1" in out["embeddings"]
+
+
+@pytest.mark.parametrize(
+    "param, extra",
+    [
+        ("d=9;a=0,0,0;b=1,2,6", ["--ell", "20"]),  # l != 1 mod d
+        ("d=9;a=0,0,0;b=1,2,6", ["--ell", "28"]),  # composite l = 1 mod d
+        ("d=9;a=0,0,0;b=1,2,6", ["--ell", "19", "--prec", "0"]),
+        ("d=9;a=0,0,0;b=1,2,6", ["--ell", "19", "--prec", "1"]),  # cap reached
+        ("d=9;a=0,0,1;b=2,3,5", ["--ell", "19"]),  # not regular
+    ],
+)
+def test_verify_jacobi_bad_input(capsys, param, extra):
+    assert main(["verify-jacobi", "--param", param, *extra]) == 2
+    assert "bad jacobi check" in capsys.readouterr().err
+
+
+def test_verify_ode_negative_order(capsys):
+    assert main(["verify-ode", "--param", "d=9;a=0,0,0;b=1,2,6", "--order", "-3"]) == 2
+    assert "bad ode check" in capsys.readouterr().err

@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hgsearch.cyclo import (
     CycMatrix,
@@ -12,6 +13,8 @@ from hgsearch.cyclo import (
     root_of_unity,
     unipotent_block_sizes,
 )
+from hgsearch.monodromy import levelt_matrices
+from hgsearch.params import validate
 
 
 def test_cyclotomic_poly_known():
@@ -92,3 +95,254 @@ def test_unipotent_block_sizes():
     bad = CycMatrix(3, [[z, zero], [zero, one]])
     with pytest.raises(NotUnipotent):
         unipotent_block_sizes(bad)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the Fraction-coefficient ring that CycNum replaced.  Elements are
+# coefficient tuples in Q[X]/(Phi_m); the inverse solves x*y = 1 through the
+# matrix of multiplication by x, independently of cyclo's extended gcd.
+
+
+class RefCyc:
+    def __init__(self, level, coeffs):
+        phi = cyclotomic_poly(level)
+        deg = len(phi) - 1
+        cs = [Fraction(c) for c in coeffs]
+        for i in range(len(cs) - 1, deg - 1, -1):
+            c = cs[i]
+            for j in range(deg + 1):
+                cs[i - deg + j] -= c * phi[j]
+        cs = cs[:deg]
+        self.level = level
+        self.coeffs = tuple(cs + [Fraction(0)] * (deg - len(cs)))
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def __add__(self, other):
+        return RefCyc(self.level, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        return RefCyc(self.level, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __mul__(self, other):
+        prod = [Fraction(0)] * (2 * len(self.coeffs) - 1)
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(other.coeffs):
+                prod[i + j] += x * y
+        return RefCyc(self.level, prod)
+
+    def __eq__(self, other):
+        return self.level == other.level and self.coeffs == other.coeffs
+
+    def lift(self, new_level):
+        step = new_level // self.level
+        out = [Fraction(0)] * (len(self.coeffs) * step)
+        for i, c in enumerate(self.coeffs):
+            out[i * step] = c
+        return RefCyc(new_level, out)
+
+    def inv(self):
+        deg = len(self.coeffs)
+        cols = [(self * RefCyc(self.level, [0] * k + [1])).coeffs for k in range(deg)]
+        aug = [[cols[j][i] for j in range(deg)] + [Fraction(int(i == 0))] for i in range(deg)]
+        for col in range(deg):
+            piv = next(r for r in range(col, deg) if aug[r][col] != 0)
+            aug[col], aug[piv] = aug[piv], aug[col]
+            aug[col] = [x / aug[col][col] for x in aug[col]]
+            for r in range(deg):
+                if r != col and aug[r][col] != 0:
+                    f = aug[r][col]
+                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+        return RefCyc(self.level, [row[-1] for row in aug])
+
+    def __pow__(self, k):
+        base = self if k >= 0 else self.inv()
+        out = RefCyc(self.level, [1])
+        for _ in range(abs(k)):
+            out = out * base
+        return out
+
+
+def _ref(x):
+    return RefCyc(x.level, x.coeffs)
+
+
+def _ref_matrix(m):
+    return [[_ref(x) for x in row] for row in m.entries]
+
+
+def _ref_matmul(a, b):
+    level = a[0][0].level
+    out = []
+    for row in a:
+        out_row = []
+        for col in zip(*b):
+            acc = RefCyc(level, [])
+            for x, y in zip(row, col):
+                acc = acc + x * y
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def _ref_eliminated(m):
+    """Gauss-Jordan as the Fraction ring ran it: (echelon, rank, det)."""
+    m = [row[:] for row in m]
+    level = m[0][0].level
+    rank, det = 0, RefCyc(level, [1])
+    for col in range(len(m[0])):
+        piv = next((r for r in range(rank, len(m)) if not m[r][col].is_zero()), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = det * RefCyc(level, [-1])
+        det = det * m[rank][col]
+        inv = m[rank][col].inv()
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and not m[r][col].is_zero():
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return m, rank, det if rank == len(m) else RefCyc(level, [])
+
+
+def _ref_block_sizes(m):
+    n = len(m)
+    level = m[0][0].level
+    eye = [[RefCyc(level, [int(i == j)]) for j in range(n)] for i in range(n)]
+    nil = [[x - e for x, e in zip(r1, r2)] for r1, r2 in zip(m, eye)]
+    powers = [eye]
+    for _ in range(n):
+        powers.append(_ref_matmul(powers[-1], nil))
+    ranks = [_ref_eliminated(p)[1] for p in powers]
+    sizes = []
+    for k in range(1, n + 1):
+        at_least_k1 = ranks[k] - ranks[k + 1] if k < n else 0
+        sizes.extend([k] * (ranks[k - 1] - ranks[k] - at_least_k1))
+    return sorted(sizes, reverse=True)
+
+
+def _coeffs_of(m):
+    return [[x.coeffs for x in row] for row in (m.entries if isinstance(m, CycMatrix) else m)]
+
+
+_rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 30), st.data())
+def test_ring_matches_fraction_reference(level, data):
+    deg = len(cyclotomic_poly(level)) - 1
+    cx = data.draw(st.lists(_rationals, max_size=2 * deg + 2))  # reduced mod Phi_m
+    cy = data.draw(st.lists(_rationals, max_size=deg))
+    x, y = CycNum(level, cx), CycNum(level, cy)
+    rx, ry = RefCyc(level, cx), RefCyc(level, cy)
+    assert x.coeffs == rx.coeffs
+    assert (x + y).coeffs == (rx + ry).coeffs
+    assert (x - y).coeffs == (rx - ry).coeffs
+    assert (x * y).coeffs == (rx * ry).coeffs
+    assert (x == y) == (rx == ry)
+    assert (x == x + CycNum.zero(level)) and not (x == x + 1)
+    step = data.draw(st.integers(1, 3))
+    assert x.lift(level * step).coeffs == rx.lift(level * step).coeffs
+    k = data.draw(st.integers(-3, 4))
+    if k >= 0:
+        assert (y ** k).coeffs == (ry ** k).coeffs
+    elif not y.is_zero():
+        ry_inv = ry.inv()
+        assert y.inv().coeffs == ry_inv.coeffs
+        assert (y ** k).coeffs == (ry_inv ** -k).coeffs
+
+
+def _assert_canonical(a, b):
+    assert a == b
+    assert (a.num, a.den, hash(a)) == (b.num, b.den, hash(b))
+    assert a.den > 0 and math.gcd(a.den, *a.num) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), st.data())
+def test_equal_values_are_stored_alike(level, data):
+    phi = cyclotomic_poly(level)
+    cx = data.draw(st.lists(_rationals, max_size=len(phi)))
+    cy = data.draw(st.lists(_rationals, max_size=len(phi)))
+    x, y = CycNum(level, cx), CycNum(level, cy)
+    # adding a multiple of Phi_m does not change the value
+    shift = data.draw(st.lists(st.integers(-5, 5), max_size=3))
+    extra = [Fraction(0)] * (len(phi) + len(shift))
+    for i, s in enumerate(shift):
+        for j, p in enumerate(phi):
+            extra[i + j] += s * p
+    padded = list(cx) + [Fraction(0)] * (len(extra) - len(cx))
+    _assert_canonical(x, CycNum(level, [a + b for a, b in zip(padded, extra)]))
+    _assert_canonical(x * y, y * x)
+    _assert_canonical((x + y) - y, x)
+    q = data.draw(_rationals.filter(bool))
+    _assert_canonical((x * q) / q, x)
+    _assert_canonical(x - x, CycNum.zero(level))
+    if not x.is_zero():
+        _assert_canonical(x * x.inv(), CycNum.one(level))
+
+
+def _matrix(data, level, n):
+    zero = CycNum.zero(level)
+    entry = st.one_of(st.just(None), st.lists(_rationals, max_size=4))
+    rows = [
+        [zero if cs is None else CycNum(level, cs) for cs in (data.draw(entry) for _ in range(n))]
+        for _ in range(n)
+    ]
+    if n > 1 and data.draw(st.booleans()):
+        k = CycNum(level, data.draw(st.lists(_rationals, max_size=2)))
+        rows[-1] = [k * x for x in rows[0]]  # singular
+    return CycMatrix(level, rows)
+
+
+# levels up to 30 whose phi is at most 12, the largest a special row has
+# (d=21): the reference inverse solves a phi x phi system per pivot
+_MATRIX_LEVELS = [m for m in range(1, 31) if len(cyclotomic_poly(m)) <= 13]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_MATRIX_LEVELS), st.integers(1, 4), st.data())
+def test_matrix_ops_match_fraction_reference(level, n, data):
+    a, b = _matrix(data, level, n), _matrix(data, level, n)
+    ra, rb = _ref_matrix(a), _ref_matrix(b)
+    assert _coeffs_of(a * b) == _coeffs_of(_ref_matmul(ra, rb))
+    _, rank, det = _ref_eliminated(ra)
+    assert a.rank() == rank
+    assert a.det().coeffs == det.coeffs
+    if rank < n:
+        with pytest.raises(ZeroDivisionError):
+            a.inv()
+    else:
+        eye = [[RefCyc(level, [int(i == j)]) for j in range(n)] for i in range(n)]
+        ech, _, _ = _ref_eliminated([r + e for r, e in zip(ra, eye)])
+        assert _coeffs_of(a.inv()) == _coeffs_of([row[n:] for row in ech])
+
+
+@st.composite
+def _valid_params(draw):
+    d = draw(st.integers(3, 14))
+    n = draw(st.integers(1, min(4, d - 1)))
+    betas = draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n, unique=True))
+    free = [x for x in range(d) if x not in betas]
+    alphas = draw(st.lists(st.sampled_from(free), min_size=n - 1, max_size=n - 1))
+    last = (math.comb(d, 2) + sum(betas) - sum(alphas)) % d
+    assume(last in free)
+    return validate(d, alphas + [last], betas)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_valid_params())
+def test_levelt_power_and_blocks_match_fraction_reference(p):
+    a = levelt_matrices(p).a
+    ra = _ref_matrix(a)
+    rad = ra
+    for _ in range(p.d - 1):
+        rad = _ref_matmul(rad, ra)
+    ad = a ** p.d
+    assert _coeffs_of(ad) == _coeffs_of(rad)
+    assert unipotent_block_sizes(ad) == _ref_block_sizes(rad)

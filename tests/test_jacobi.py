@@ -30,6 +30,14 @@ def test_ctx_basics():
     assert all(pow(g, k, 7) != 1 for k in range(1, 6))
 
 
+def test_ctx_rejects_a_non_generator():
+    assert PrimeFieldCtx(3, 7, generator=3).g == 3
+    # 2 has order 3 mod 7, 6 order 2, 1 order 1; 7 is 0 in F_7
+    for g in (2, 6, 1, 7):
+        with pytest.raises(ValueError, match="does not generate"):
+            PrimeFieldCtx(3, 7, generator=g)
+
+
 def test_jacobi2_absolute_value():
     # |J(a,b)|^2 = ell for nondegenerate pairs: J * conj(J) = ell
     for d, ell in ((3, 7), (4, 5), (5, 11), (6, 7), (9, 19)):
