@@ -15,8 +15,8 @@ from typing import List, Optional
 
 from .criteria import full_report
 from .params import ValidationError, parse
-from .search import CheckpointError, SearchSpec, run_search
-from .tables import EMPTY_PARTITIONS, POSSIBLE_D, reproduce_special
+from .search import CheckpointError, SearchSpec, passing_moduli, run_search
+from .tables import POSSIBLE_D, reproduce_special
 
 SCHEMA_VERSION = 1
 
@@ -30,11 +30,18 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"{k}: {v}")
 
 
-def _cmd_check(args) -> int:
+def _parse_param(literal: str):
+    """The parameter, or None after reporting the bad literal."""
     try:
-        p = parse(args.param)
+        return parse(literal)
     except (ValidationError, ValueError) as exc:
         print(f"bad parameter literal: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_check(args) -> int:
+    p = _parse_param(args.param)
+    if p is None:
         return 2
     rep = full_report(p)
     _emit(rep.to_dict(), args.format)
@@ -74,7 +81,7 @@ def _cmd_search(args) -> int:
                 f"{','.join(map(str, r['beta']))}\t{c}"
             )
     else:
-        print(json.dumps({"schema": SCHEMA_VERSION, "results": results}, indent=2))
+        _emit({"results": results}, "json")
     return 0
 
 
@@ -86,7 +93,7 @@ def _cmd_tables(args) -> int:
             "discrepancies": discrepancies,
         }
         if args.format == "json":
-            print(json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2))
+            _emit(payload, "json")
         else:
             for v in verdicts:
                 d = v.to_dict()
@@ -100,8 +107,6 @@ def _cmd_tables(args) -> int:
         all_pass = all(v.passes for v in verdicts)
         return 0 if all_pass and not undocumented else 1
     # possible-d: recompute the n=4 rows (the cheap exhaustive ones)
-    from .search import passing_moduli
-
     report = {}
     ok = True
     for part in ((2, 2), (3, 1)):
@@ -110,7 +115,7 @@ def _cmd_tables(args) -> int:
         report[",".join(map(str, part))] = {"expected": want, "computed": got}
         ok = ok and got == want
     if args.format == "json":
-        print(json.dumps({"schema": SCHEMA_VERSION, "rows": report}, indent=2))
+        _emit({"rows": report}, "json")
     else:
         for k, v in report.items():
             print(f"{k}: expected {v['expected']} computed {v['computed']}")
@@ -120,10 +125,8 @@ def _cmd_tables(args) -> int:
 def _cmd_verify_monodromy(args) -> int:
     from .monodromy import verify_levelt
 
-    try:
-        p = parse(args.param)
-    except (ValidationError, ValueError) as exc:
-        print(f"bad parameter literal: {exc}", file=sys.stderr)
+    p = _parse_param(args.param)
+    if p is None:
         return 2
     ok = verify_levelt(p)
     _emit({"param": p.literal(), "monodromy_ok": ok}, args.format)
@@ -133,10 +136,8 @@ def _cmd_verify_monodromy(args) -> int:
 def _cmd_verify_ode(args) -> int:
     from .monodromy import verify_annihilation
 
-    try:
-        p = parse(args.param)
-    except (ValidationError, ValueError) as exc:
-        print(f"bad parameter literal: {exc}", file=sys.stderr)
+    p = _parse_param(args.param)
+    if p is None:
         return 2
     try:
         results = {j: verify_annihilation(p, j, args.order) for j in range(1, p.n + 1)}
@@ -151,16 +152,13 @@ def _cmd_verify_ode(args) -> int:
 
 
 def _cmd_verify_jacobi(args) -> int:
-    from .jacobi import PrecisionExhausted, hodge_newton_check, motive_valuations
+    from .jacobi import PrecisionExhausted, hodge_newton_report
 
-    try:
-        p = parse(args.param)
-    except (ValidationError, ValueError) as exc:
-        print(f"bad parameter literal: {exc}", file=sys.stderr)
+    p = _parse_param(args.param)
+    if p is None:
         return 2
     try:
-        match = hodge_newton_check(p, args.ell, args.prec)
-        vals = motive_valuations(p, args.ell, args.prec)
+        vals, match = hodge_newton_report(p, args.ell, args.prec)
     except (ValueError, PrecisionExhausted) as exc:
         print(f"bad jacobi check: {exc}", file=sys.stderr)
         return 2
@@ -168,10 +166,7 @@ def _cmd_verify_jacobi(args) -> int:
         "embeddings": {str(s): {"valuations": v} for s, v in vals.items()},
         "hodge_match": match,
     }
-    if args.format == "json":
-        print(json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2))
-    else:
-        _emit(payload, args.format)
+    _emit(payload, args.format)
     return 0 if match else 1
 
 

@@ -13,14 +13,24 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .intlattice import NoSolution, SmithForm, kernel_basis, smith_form, solve_lattice
 from .params import HgParam
-from .residues import UnitSubgroup, bracket, complements, difference_multiset, units, unit_subgroups
+from .residues import (
+    UnitSubgroup,
+    bracket,
+    complements,
+    difference_multiset,
+    is_cyclic_ap,
+    phi,
+    prime_divisors,
+    units,
+    unit_subgroups,
+)
 
 
 class NonIntegralDegree(Exception):
@@ -38,12 +48,9 @@ def hodge_degrees(p: HgParam, s: int = 1) -> List[int]:
     Returned sorted ascending, with multiplicity.
     """
     d = p.d
-    base = d * (d - 1) // 2
     out = []
-    for bj in p.betas:
-        tot = base
-        tot += sum(bracket(s * (bj - a), d) for a in p.alphas)
-        tot -= sum(bracket(s * (bj - b), d) for b in p.betas)
+    for bj, v in zip(p.betas, _reg_values(p, s)):
+        tot = d * (d - 1) // 2 + v
         if tot % d != 0:
             raise NonIntegralDegree(f"d={d} does not divide {tot} at beta={bj}, s={s}")
         out.append(tot // d - 1)
@@ -51,6 +58,8 @@ def hodge_degrees(p: HgParam, s: int = 1) -> List[int]:
 
 
 def _reg_values(p: HgParam, s: int) -> List[int]:
+    """The bracket sums sum_i [s(b_j - a_i)] - sum_i [s(b_j - b_i)], one per
+    beta_j in order: the kernel of the Hodge degrees, (R) and (D)."""
     d = p.d
     vals = []
     for bj in p.betas:
@@ -132,8 +141,6 @@ def bm(p: HgParam) -> Tuple[bool, Optional[int]]:
     progression; (3) no nonzero translation fixes both multisets; (4) no s,
     including 0, with {-a-s} = {a+s} and {-b-s} = {b+s}.
     """
-    from .residues import is_cyclic_ap
-
     d = p.d
     if len(set(p.alphas)) >= p.n:
         return False, 1
@@ -251,21 +258,6 @@ def build_f(p: HgParam, c: Tuple[int, int, int]) -> IntFunction:
     return f
 
 
-def _prime_divisors(d: int) -> List[int]:
-    out = []
-    m = d
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            out.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def epsilon(d: int, k: int, a: int) -> IntFunction:
     """epsilon_{k,a}(x) = delta_{-ka} + sum_{0 <= j < k} delta_{a + j d/k}."""
     f = IntFunction(d)
@@ -279,14 +271,10 @@ def epsilon(d: int, k: int, a: int) -> IntFunction:
 def e_basis_index(d: int) -> List[Tuple[int, int]]:
     """(k, a) pairs indexing the spanning set of E(d)."""
     idx = [(1, a) for a in range(1, d // 2 + 1)]
-    for pp in _prime_divisors(d):
+    for pp in prime_divisors(d):
         for a in range(1, d // pp):
             idx.append((pp, a))
     return idx
-
-
-def e_basis(d: int) -> List[IntFunction]:
-    return [epsilon(d, k, a) for k, a in e_basis_index(d)]
 
 
 @lru_cache(maxsize=None)
@@ -299,6 +287,11 @@ def _solve_transform(d: int):
     T is the accumulated row transform: T M_piv = [I; 0].  So the first
     len(piv) rows of t give den times the pivot coefficients of f, and the
     remaining rows vanish on f exactly when f lies in the span.
+
+    Solving against the pivot columns alone (all other coefficients zero)
+    mirrors the published computation, which inverted the matrix of one
+    chosen set of basis elements rather than searching the full solution
+    lattice.
     """
     idx = e_basis_index(d)
     cols = [epsilon(d, k, a).values for k, a in idx]
@@ -327,16 +320,6 @@ def _solve_transform(d: int):
     den = math.lcm(*(x.denominator for row in mat for x in row[m:]))
     t = tuple(tuple(int(x * den) for x in row[m:]) for row in mat)
     return idx, cols, tuple(piv), t, den
-
-
-def _first_basis(d: int):
-    """Pivot columns of the epsilon spanning set, scanned in listed order.
-
-    Solving against this fixed basis (all other coefficients zero) mirrors
-    the published computation, which inverted the matrix of one chosen set
-    of basis elements rather than searching the full solution lattice.
-    """
-    return _solve_transform(d)[:3]
 
 
 def solve_in_E_basis(f: IntFunction) -> Optional[Dict[Tuple[int, int], int]]:
@@ -389,7 +372,7 @@ class GammaExponents:
 def gamma_exponents(x: Dict[Tuple[int, int], int], d: int) -> GammaExponents:
     """Exponent bookkeeping for the gamma factor attached to a coefficient
     vector over the epsilon spanning set."""
-    primes = _prime_divisors(d)
+    primes = prime_divisors(d)
     # y1 = sum over k=1 of coeff*a/d, plus over k=p of coeff*(a*k/d + (k-1)/4);
     # y_p = sum over k=p of coeff*(1/2 - a/d).  Numerators over 4d and 2d.
     num1 = 0
@@ -413,15 +396,7 @@ def _b_p(yp: Fraction, pp: int, d: int) -> int:
 def _coprimality_ok(b1: int, bps: Iterable[int], d: int, n: int) -> bool:
     if any(math.gcd(b, n) != 1 for b in bps):
         return False
-    return math.gcd(_phi(math.lcm(2 * b1, d)) // _phi(d), n) == 1
-
-
-@lru_cache(maxsize=None)
-def _phi(m: int) -> int:
-    out = m
-    for pp in _prime_divisors(m):
-        out -= out // pp
-    return out
+    return math.gcd(phi(math.lcm(2 * b1, d)) // phi(d), n) == 1
 
 
 def _frac_mod1(q: Fraction) -> Fraction:
@@ -439,7 +414,7 @@ def _image(x: Dict[Tuple[int, int], int], d: int, primes: Sequence[int]) -> Tupl
 def _kernel_image_group(d: int) -> Tuple[Tuple[Fraction, ...], ...]:
     """Subgroup of (Q/Z)^m generated by the images of the kernel vectors."""
     idx, sf, ker = _e_lattice(d)
-    primes = tuple(_prime_divisors(d))
+    primes = tuple(prime_divisors(d))
     gens = [_image(dict(zip(idx, v)), d, primes) for v in ker]
     zero = tuple(Fraction(0) for _ in range(1 + len(primes)))
     group = {zero}
@@ -459,14 +434,14 @@ def _exists_good_solution(coeffs: Dict[Tuple[int, int], int], d: int, n: int) ->
     satisfies the coprimality conditions.  The conditions only depend on the
     y-values mod 1, so it suffices to scan the finite coset of the kernel
     image group."""
-    return _good_coset(d, n, _image(coeffs, d, tuple(_prime_divisors(d))))
+    return _good_coset(d, n, _image(coeffs, d, tuple(prime_divisors(d))))
 
 
 @lru_cache(maxsize=None)
 def _good_coset(d: int, n: int, base: Tuple[Fraction, ...]) -> bool:
     # The images have denominators dividing 4d, so for each (d, n) there are
     # finitely many keys.
-    primes = _prime_divisors(d)
+    primes = prime_divisors(d)
     return any(
         _coprimality_ok(
             (base[0] + shift[0]).denominator,
@@ -482,24 +457,28 @@ def _good_coset(d: int, n: int, base: Tuple[Fraction, ...]) -> bool:
 # Determinant criterion (D)
 
 
-def _w_value(p: HgParam, c: Tuple[int, int, int], s: int) -> int:
-    return sum(_reg_values(p, s)) + p.n * _bracket_sum(c, s, p.d)
-
-
 def _bracket_sum(c: Tuple[int, int, int], s: int, d: int) -> int:
     return sum(bracket(s * ci, d) for ci in c)
 
 
-def _clause_iii(p: HgParam) -> bool:
+def _pairing_bases(p: HgParam) -> Optional[Dict[int, int]]:
+    """base(s), the sum of _reg_values(p, s), for each unit s; None when the
+    pairing identity (clause (iii)) fails at some s.
+
+    Clause (iii) reads sum_{i,j} [s(b_j - a_i)] = n sum_i [s(b_i - a_i)].
+    The betas are distinct and s is a unit, so the pairs i != j add
+    [s(b_j - b_i)] + [s(b_i - b_j)] = d, and the left side is
+    base(s) + d C(n,2).
+    """
     d, n = p.d, p.n
+    pairs = d * n * (n - 1) // 2
+    bases = {}
     for s in units(d):
-        lhs = sum(
-            bracket(s * (bj - a), d) for bj in p.betas for a in p.alphas
-        )
-        rhs = n * sum(bracket(s * (b - a), d) for a, b in zip(p.alphas, p.betas))
-        if lhs != rhs:
-            return False
-    return True
+        base = sum(_reg_values(p, s))
+        if base + pairs != n * sum(bracket(s * (b - a), d) for a, b in zip(p.alphas, p.betas)):
+            return None
+        bases[s] = base
+    return bases
 
 
 def _clause_iv(p: HgParam, f: IntFunction, published: bool) -> bool:
@@ -527,12 +506,11 @@ def det_condition(p: HgParam, c: Tuple[int, int, int], published: bool = True) -
     """
     if not is_regular(p):
         return False
-    d = p.d
-    us = units(d)
-    w0 = _w_value(p, c, us[0])
-    if any(_w_value(p, c, s) != w0 for s in us[1:]):
+    bases = _pairing_bases(p)
+    if bases is None:
         return False
-    if not _clause_iii(p):
+    # w(s) = base(s) + n S_c(s) must not depend on s
+    if len({b + p.n * _bracket_sum(c, s, p.d) for s, b in bases.items()}) != 1:
         return False
     return _clause_iv(p, build_f(p, c), published)
 
@@ -569,14 +547,15 @@ def find_c(p: HgParam, published: bool = True) -> Optional[Tuple[int, int, int]]
     tested with clause (iv)."""
     if not is_regular(p):
         return None
-    if not _clause_iii(p):
+    bases = _pairing_bases(p)
+    if bases is None:
         return None
-    d, n = p.d, p.n
-    base = [sum(_reg_values(p, s)) for s in units(d)]
+    n = p.n
+    base = list(bases.values())
     gaps = [base[0] - b for b in base]
     if any(g % n for g in gaps):
         return None
-    for c in _c_index(d).get(tuple(g // n for g in gaps), ()):
+    for c in _c_index(p.d).get(tuple(g // n for g in gaps), ()):
         if _clause_iv(p, build_f(p, c), published):
             return c
     return None

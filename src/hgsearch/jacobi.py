@@ -9,13 +9,15 @@ by the direct definitional sum (see tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cyclo import CycNum, root_of_unity
 from .params import HgParam, a_vector
-from .residues import bracket, units
+from .residues import is_prime, prime_divisors, units
+
+# PrimeFieldCtx keeps a discrete-log table of l entries
+MAX_ELL = 10**6
 
 
 class DegenerateIndices(Exception):
@@ -34,21 +36,10 @@ class PrecisionExhausted(Exception):
     pass
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            return False
-        q += 1
-    return True
-
-
 def least_prime_above(d: int, lower: int = 2) -> int:
     """Smallest prime l >= lower with l = 1 mod d."""
     l = lower + ((1 - lower) % d)
-    while l < lower or not _is_prime(l):
+    while l < lower or not is_prime(l):
         l += d
     return l
 
@@ -57,9 +48,11 @@ class PrimeFieldCtx:
     """Discrete-log tables for F_l with a fixed d-th power character."""
 
     def __init__(self, d: int, ell: int, generator: Optional[int] = None):
+        if ell > MAX_ELL:
+            raise ValueError(f"l = {ell} is above the cap {MAX_ELL} on the discrete-log table")
         if (ell - 1) % d != 0:
             raise ValueError(f"{ell} is not 1 mod {d}")
-        if not _is_prime(ell):
+        if not is_prime(ell):
             raise ValueError(f"{ell} is not prime")
         self.d = d
         self.ell = ell
@@ -77,17 +70,7 @@ class PrimeFieldCtx:
 
     @staticmethod
     def _least_primitive_root(ell: int) -> int:
-        order_facs = []
-        m = ell - 1
-        q = 2
-        while q * q <= m:
-            if m % q == 0:
-                order_facs.append(q)
-                while m % q == 0:
-                    m //= q
-            q += 1
-        if m > 1:
-            order_facs.append(m)
+        order_facs = prime_divisors(ell - 1)
         for g in range(2, ell):
             if all(pow(g, (ell - 1) // q, ell) != 1 for q in order_facs):
                 return g
@@ -267,6 +250,12 @@ def motive_valuations(p: HgParam, ell: int, prec: int = 40) -> Dict[int, List[in
 def hodge_newton_check(p: HgParam, ell: int, prec: int = 40) -> bool:
     """Shift-invariant match between the Newton valuations (over all
     embeddings) and the Hodge degrees (over all scalings)."""
+    return hodge_newton_report(p, ell, prec)[1]
+
+
+def hodge_newton_report(p: HgParam, ell: int, prec: int = 40) -> Tuple[Dict[int, List[int]], bool]:
+    """motive_valuations(p, ell, prec) with hodge_newton_check's verdict on
+    them, from one computation of the Jacobi sums."""
     from .criteria import hodge_degrees, is_regular
 
     if not is_regular(p):
@@ -277,4 +266,4 @@ def hodge_newton_check(p: HgParam, ell: int, prec: int = 40) -> bool:
     for s in units(p.d):
         h = hodge_degrees(p, s)
         right.append(tuple(x - h[0] for x in h))
-    return left == sorted(right)
+    return newton, left == sorted(right)

@@ -101,15 +101,6 @@ def verify_det_identities(p: HgParam) -> bool:
 # Formal series solutions
 
 
-def pochhammer(z: Fraction, j: int) -> Fraction:
-    if j < 0:
-        raise ValueError("negative index")
-    out = Fraction(1)
-    for i in range(j):
-        out *= z + i
-    return out
-
-
 @dataclass(frozen=True)
 class TruncSeries:
     exponent: int

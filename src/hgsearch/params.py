@@ -159,16 +159,6 @@ def scale(p: HgParam, s: int) -> HgParam:
         raise InvalidScale(str(exc)) from exc
 
 
-def translate(p: HgParam, b: int) -> HgParam:
-    """Utility action (alpha+b; beta+b); not used for canonicalization."""
-    return validate(
-        p.d,
-        [(a + b) % p.d for a in p.alphas],
-        [(x + b) % p.d for x in p.betas],
-        p.c,
-    )
-
-
 def scaling_orbit(p: HgParam) -> list[HgParam]:
     """All distinct scale(p, s) over units s for which scaling is valid."""
     seen = {}

@@ -10,12 +10,41 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
 from typing import Iterable
 
 
 def bracket(x: int, d: int) -> int:
     """Representative of x mod d in [0, d-1]."""
     return x % d
+
+
+def prime_divisors(m: int) -> list[int]:
+    """The distinct primes dividing m >= 1, increasing, by trial division."""
+    out = []
+    q = 2
+    while q * q <= m:
+        if m % q == 0:
+            out.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
+@lru_cache(maxsize=None)
+def phi(m: int) -> int:
+    """Euler's totient of m >= 1."""
+    out = m
+    for q in prime_divisors(m):
+        out -= out // q
+    return out
+
+
+def is_prime(m: int) -> bool:
+    return m > 1 and prime_divisors(m) == [m]
 
 
 def units(d: int) -> list[int]:
@@ -114,15 +143,15 @@ def unit_subgroups(d: int) -> list[UnitSubgroup]:
 def complements(u: UnitSubgroup) -> list[UnitSubgroup]:
     """All V with U∩V = {1} and UV = (Z/dZ)^x."""
     d = u.modulus
-    phi = len(units(d))
+    order = phi(d)
     out = []
     for v in unit_subgroups(d):
-        if len(u) * len(v) != phi:
+        if len(u) * len(v) != order:
             continue
         if set(u.elements) & set(v.elements) != {1}:
             continue
         prod = {(a * b) % d for a in u.elements for b in v.elements}
-        if len(prod) == phi:
+        if len(prod) == order:
             out.append(v)
     return out
 

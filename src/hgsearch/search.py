@@ -12,11 +12,11 @@ import itertools
 import json
 import multiprocessing
 import os
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .criteria import bm, bm_published, find_c, is_regular
-from .params import HgParam, ValidationError, validate
+from .params import HgParam, ValidationError, canonical_form, validate
 
 
 @dataclass(frozen=True)
@@ -25,9 +25,6 @@ class SearchSpec:
     partition: Tuple[int, ...]
     d_min: int
     d_max: int
-    check_r: bool = True
-    check_bm: bool = True
-    check_d: bool = True
     dedup_by_scaling: bool = False
     workers: int = 1
     limit: Optional[int] = None
@@ -51,9 +48,6 @@ class SearchSpec:
         """The fields besides the chunk key that change a chunk's results."""
         return {
             "published": self.published,
-            "check_r": self.check_r,
-            "check_bm": self.check_bm,
-            "check_d": self.check_d,
             "dedup_by_scaling": self.dedup_by_scaling,
             "limit": self.limit,
         }
@@ -125,40 +119,22 @@ def _chunk_key(d: int, alphas: Tuple[int, ...]) -> str:
 
 def search_chunk(args) -> Tuple[str, List[dict]]:
     """Worker: all passing parameters for one (d, alpha-shape) chunk."""
-    d, alphas, check_r, check_bm, check_d, dedup, limit, published = args
+    d, alphas, dedup, limit, published = args
     out: List[dict] = []
     for p in _candidate_params(d, alphas):
-        if dedup and _orbit_representative(p) != (p.alphas, p.betas):
+        if dedup and canonical_form(p) != p:
             continue
-        if check_r and not is_regular(p):
+        if not is_regular(p):
             continue
-        if check_bm:
-            ok = bm_published(p) if published else bm(p)[0]
-            if not ok:
-                continue
-        c: Optional[Tuple[int, int, int]] = None
-        if check_d:
-            c = find_c(p, published=published)
-            if c is None:
-                continue
-        out.append(
-            {
-                "d": d,
-                "alpha": list(p.alphas),
-                "beta": list(p.betas),
-                "c": list(c) if c is not None else None,
-            }
-        )
+        if not (bm_published(p) if published else bm(p)[0]):
+            continue
+        c = find_c(p, published=published)
+        if c is None:
+            continue
+        out.append({"d": d, "alpha": list(p.alphas), "beta": list(p.betas), "c": list(c)})
         if limit is not None and len(out) >= limit:
             break
     return _chunk_key(d, alphas), out
-
-
-def _orbit_representative(p: HgParam) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    from .params import canonical_form
-
-    q = canonical_form(p)
-    return q.alphas, q.betas
 
 
 def _load_checkpoint(path: Optional[str], fingerprint: dict) -> Dict[str, List[dict]]:
@@ -198,18 +174,7 @@ def run_search(spec: SearchSpec) -> List[dict]:
     chunks = []
     for d in range(max(spec.d_min, spec.n + 1), spec.d_max + 1):
         for alphas in enumerate_alphas(d, spec.partition):
-            chunks.append(
-                (
-                    d,
-                    alphas,
-                    spec.check_r,
-                    spec.check_bm,
-                    spec.check_d,
-                    spec.dedup_by_scaling,
-                    spec.limit,
-                    spec.published,
-                )
-            )
+            chunks.append((d, alphas, spec.dedup_by_scaling, spec.limit, spec.published))
     fingerprint = spec.fingerprint()
     done = _load_checkpoint(spec.checkpoint, fingerprint)
     todo = [c for c in chunks if _chunk_key(c[0], c[1]) not in done]
@@ -270,7 +235,7 @@ def find_witness(n: int, partition: Tuple[int, ...], d: int) -> Optional[dict]:
     """First passing parameter for a single modulus, scanning in the
     deterministic enumeration order."""
     for alphas in enumerate_alphas(d, partition):
-        key, results = search_chunk((d, alphas, True, True, True, False, 1, True))
+        key, results = search_chunk((d, alphas, False, 1, True))
         if results:
             return results[0]
     return None

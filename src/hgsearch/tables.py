@@ -7,20 +7,13 @@ search finds a passing parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .criteria import (
-    bm,
-    bm_finite,
-    det_condition,
-    find_c,
-    is_regular,
-    jordan_blocks,
-    scaling_stabilizer,
-)
+from .criteria import bm, bm_finite, det_condition, find_c, is_regular, jordan_blocks
 from .params import HgParam, validate
-from .residues import UnitSubgroup, closure, units
+from .residues import UnitSubgroup, closure
 
 
 @dataclass(frozen=True)
@@ -164,7 +157,7 @@ class RowVerdict:
 def check_special_row(row: SpecialRow) -> RowVerdict:
     p = row_param(row)
     r_ok = is_regular(p)
-    um_expected = sorted((_multiplicities(row.alphas)), reverse=True)
+    um_expected = sorted(Counter(row.alphas).values(), reverse=True)
     um_ok = jordan_blocks(p) == um_expected
     bm_ok, bullet = bm(p)
     documented = (
@@ -172,14 +165,12 @@ def check_special_row(row: SpecialRow) -> RowVerdict:
         and (row.d, tuple(sorted(row.alphas)), tuple(sorted(row.betas)))
         in KNOWN_BM_DISCREPANCIES
     )
-    if row.c != (0, 0, 0):
-        c_used: Optional[Tuple[int, int, int]] = row.c
-        d_ok = det_condition(p, row.c)
-    else:
-        d_ok = det_condition(p, (0, 0, 0))
-        c_used = (0, 0, 0) if d_ok else find_c(p)
-        if not d_ok and c_used is not None:
-            d_ok = True
+    # a row listed with c = (0,0,0) may pass with any c
+    c_used: Optional[Tuple[int, int, int]] = row.c
+    d_ok = det_condition(p, row.c)
+    if not d_ok and row.c == (0, 0, 0):
+        c_used = find_c(p)
+        d_ok = c_used is not None
     u = row_subgroup(row)
     u_ok = bm_finite(p, u)
     return RowVerdict(
@@ -193,12 +184,6 @@ def check_special_row(row: SpecialRow) -> RowVerdict:
         c_used=c_used if d_ok else None,
         u_ok=u_ok,
     )
-
-
-def _multiplicities(vals) -> List[int]:
-    from collections import Counter
-
-    return list(Counter(vals).values())
 
 
 def reproduce_special() -> Tuple[List[RowVerdict], List[dict]]:

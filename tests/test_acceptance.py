@@ -262,9 +262,9 @@ def test_acceptance_7_property_suites():
     # re-expansion of basis solutions
     for _ in range(1000):
         d = rng.randint(3, 24)
-        from hgsearch.criteria import _first_basis
+        from hgsearch.criteria import _solve_transform
 
-        idx, _, piv = _first_basis(d)
+        idx, _, piv = _solve_transform(d)[:3]
         keys = rng.sample([idx[j] for j in piv], k=min(4, len(piv)))
         coeffs = {key: rng.randint(-3, 3) for key in keys}
         f = IntFunction(d)

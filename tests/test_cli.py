@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -107,3 +108,50 @@ def test_verify_jacobi_bad_input(capsys, param, extra):
 def test_verify_ode_negative_order(capsys):
     assert main(["verify-ode", "--param", "d=9;a=0,0,0;b=1,2,6", "--order", "-3"]) == 2
     assert "bad ode check" in capsys.readouterr().err
+
+
+def test_verify_jacobi_computes_the_sums_once(monkeypatch, capsys):
+    # the package exports a function named jacobi, so fetch the module itself
+    jacobi = importlib.import_module("hgsearch.jacobi")
+    calls = []
+    real = jacobi.motive_valuations
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jacobi, "motive_valuations", counted)
+    assert main(["verify-jacobi", "--param", "d=9;a=0,0,0;b=1,2,6", "--ell", "19"]) == 0
+    assert len(calls) == 1
+    # a parameter that is not regular is refused before any sum
+    assert main(["verify-jacobi", "--param", "d=9;a=0,0,1;b=2,3,5", "--ell", "19"]) == 2
+    assert len(calls) == 1
+
+
+def test_verify_jacobi_ell_above_the_cap(capsys):
+    from hgsearch.jacobi import MAX_ELL, least_prime_above
+
+    ell = least_prime_above(9, MAX_ELL + 1)
+    assert main(["verify-jacobi", "--param", "d=9;a=0,0,0;b=1,2,6", "--ell", str(ell)]) == 2
+    err = capsys.readouterr().err
+    assert "bad jacobi check" in err and str(MAX_ELL) in err
+
+
+def test_checkpoint_from_before_the_filter_switches_went(tmp_path, capsys):
+    from hgsearch.search import CheckpointError, SearchSpec, run_search
+
+    ck = tmp_path / "ck.jsonl"
+    old = {
+        "published": True,
+        "check_r": True,
+        "check_bm": True,
+        "check_d": True,
+        "dedup_by_scaling": False,
+        "limit": None,
+    }
+    ck.write_text(json.dumps({"key": "9:0,0,0", "spec": old, "results": []}) + "\n")
+    with pytest.raises(CheckpointError):
+        run_search(SearchSpec(n=3, partition=(3,), d_min=9, d_max=9, checkpoint=str(ck)))
+    args = ["search", "--n", "3", "--partition", "3", "--d-min", "9", "--d-max", "9"]
+    assert main(args + ["--checkpoint", str(ck)]) == 2
+    assert "bad checkpoint" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hgsearch.criteria import (
     IntFunction,
+    NonIntegralDegree,
     bm,
     bm_finite,
     bm_published,
@@ -175,9 +176,9 @@ def test_solve_in_E_basis_reexpands(d, data):
     # integer combinations supported on the pivot basis must round-trip;
     # combinations touching dependent columns may legitimately come back
     # None since the solver is pinned to one basis
-    from hgsearch.criteria import _first_basis
+    from hgsearch.criteria import _solve_transform
 
-    idx, _, piv = _first_basis(d)
+    idx, _, piv = _solve_transform(d)[:3]
     keys = [idx[j] for j in piv]
     coeffs = {
         key: data.draw(st.integers(-3, 3))
@@ -233,9 +234,9 @@ def test_full_report_shape():
 def _reference_solve(f):
     """Fraction Gauss-Jordan on [M_piv | f]: the rational solution on the
     pivot basis, or None when f is outside the span."""
-    from hgsearch.criteria import _first_basis
+    from hgsearch.criteria import _solve_transform
 
-    idx, cols, piv = _first_basis(f.d)
+    idx, cols, piv = _solve_transform(f.d)[:3]
     rows = f.d - 1
     aug = [
         [Fraction(cols[j][i]) for j in piv] + [Fraction(f.values[i])]
@@ -261,9 +262,9 @@ def _solver_cases(d, rng):
     """Integer f of every kind: pivot combinations (they solve), the same
     divided by the gcd of their values or nudged by 1 at one point, every
     epsilon column, and random vectors."""
-    from hgsearch.criteria import _first_basis
+    from hgsearch.criteria import _solve_transform
 
-    _, cols, piv = _first_basis(d)
+    _, cols, piv = _solve_transform(d)[:3]
     out = [list(col) for col in cols]
     for _ in range(6):
         f = [0] * (d - 1)
@@ -307,9 +308,9 @@ def test_solve_in_E_basis_matches_fraction_reference():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(3, 30), st.data())
 def test_solve_in_E_basis_property(d, data):
-    from hgsearch.criteria import _first_basis
+    from hgsearch.criteria import _solve_transform
 
-    _, cols, piv = _first_basis(d)
+    _, cols, piv = _solve_transform(d)[:3]
     f = [0] * (d - 1)
     for j in data.draw(st.sets(st.sampled_from(piv), min_size=1, max_size=4)):
         co = data.draw(st.integers(-4, 4))
@@ -324,21 +325,48 @@ def test_solve_in_E_basis_property(d, data):
     assert solve_in_E_basis(IntFunction(d, f)) == want
 
 
+# References for (D) from the definitions, by direct double sums over the
+# alphas and betas rather than through the per-beta bracket-sum kernel.
+
+
+def _reference_clause_iii(p):
+    d, n = p.d, p.n
+    return all(
+        sum((s * (b - a)) % d for b in p.betas for a in p.alphas)
+        == n * sum((s * (b - a)) % d for a, b in zip(p.alphas, p.betas))
+        for s in units(d)
+    )
+
+
+def _reference_w(p, c, s):
+    d = p.d
+    return (
+        sum((s * (b - a)) % d for b in p.betas for a in p.alphas)
+        - sum((s * (b - bb)) % d for b in p.betas for bb in p.betas)
+        + p.n * sum((s * x) % d for x in c)
+    )
+
+
+def _reference_det_condition(p, c, published):
+    from hgsearch.criteria import _clause_iv
+
+    return (
+        is_regular(p)
+        and _reference_clause_iii(p)
+        and len({_reference_w(p, c, s) for s in units(p.d)}) == 1
+        and _clause_iv(p, build_f(p, c), published)
+    )
+
+
 def _reference_find_c(p, published):
-    from hgsearch.criteria import _c_candidates, _clause_iii, _clause_iv, _w_value
+    from hgsearch.criteria import _c_candidates
 
-    if not is_regular(p) or not _clause_iii(p):
-        return None
-    us = units(p.d)
-    for c in _c_candidates(p.d):
-        if len({_w_value(p, c, s) for s in us}) == 1 and _clause_iv(p, build_f(p, c), published):
-            return c
-    return None
+    return next((c for c in _c_candidates(p.d) if _reference_det_condition(p, c, published)), None)
 
 
-def test_find_c_matches_lexicographic_scan():
-    # regular parameters as the search enumerates them, in both modes
-    pool = [
+def _regular_pool():
+    # regular parameters as the search enumerates them
+    return [
         p
         for d in range(5, 17)
         for part in ((3,), (2, 2), (3, 1))
@@ -346,8 +374,11 @@ def test_find_c_matches_lexicographic_scan():
         for p in _candidate_params(d, alphas)
         if is_regular(p)
     ]
+
+
+def test_find_c_matches_lexicographic_scan():
     found = {True: 0, False: 0}
-    for p in random.Random(7).sample(pool, 60):
+    for p in random.Random(7).sample(_regular_pool(), 60):
         for published in (True, False):
             c = find_c(p, published)
             assert c == _reference_find_c(p, published), (p.literal(), published)
@@ -355,17 +386,84 @@ def test_find_c_matches_lexicographic_scan():
     assert 0 < found[True] < 60 and 0 < found[False] < 60, found
 
 
+def test_det_condition_matches_double_sum_reference():
+    from hgsearch.criteria import _c_candidates
+
+    rng = random.Random(11)
+    outcomes = {True: set(), False: set()}
+    for p in rng.sample(_regular_pool(), 12) + [P9, P18]:
+        cs = list(_c_candidates(p.d))
+        for c in rng.sample(cs, min(len(cs), 15)) + [find_c(p, True), find_c(p, False)]:
+            if c is None:
+                continue
+            for published in (True, False):
+                want = _reference_det_condition(p, c, published)
+                assert det_condition(p, c, published) == want, (p.literal(), c, published)
+                outcomes[published].add(want)
+    assert outcomes == {True: {True, False}, False: {True, False}}
+
+
+def test_pairing_bases_match_double_sum_reference():
+    # Clause (iii) can only fail on a parameter that is not regular: under
+    # (R) the alphas and betas are separated under every unit s, and then
+    # both sides count d for each alpha above each beta.  So both outcomes
+    # are exercised here, on every valid parameter, rather than through
+    # det_condition and find_c, which test (R) first.
+    from hgsearch.criteria import _pairing_bases
+
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(3000):
+        d = rng.randint(3, 24)
+        n = rng.randint(1, min(6, d - 1))
+        betas = rng.sample(range(d), n)
+        head = [rng.randrange(d) for _ in range(n - 1)]
+        last = (d * (d - 1) // 2 + sum(betas) - sum(head)) % d
+        if last in betas or set(head) & set(betas):
+            continue
+        p = parse(f"d={d};a={','.join(map(str, head + [last]))};b={','.join(map(str, betas))}")
+        ok = _reference_clause_iii(p)
+        got = _pairing_bases(p)
+        if not ok:
+            assert got is None, p.literal()
+        else:
+            assert list(got) == units(d)
+            for s, base in got.items():
+                assert base == _reference_w(p, (0, 0, 0), s), (p.literal(), s)
+        seen.add((is_regular(p), ok))
+    assert seen == {(True, True), (False, True), (False, False)}, seen
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_param())
+def test_hodge_degrees_match_double_sum_reference(p):
+    if p is None:
+        return
+    d = p.d
+    for s in units(d):
+        want = []
+        for bj in p.betas:
+            tot = d * (d - 1) // 2
+            tot += sum((s * (bj - a)) % d for a in p.alphas)
+            tot -= sum((s * (bj - b)) % d for b in p.betas)
+            want.append(tot // d - 1 if tot % d == 0 else None)
+        if None in want:
+            with pytest.raises(NonIntegralDegree):
+                hodge_degrees(p, s)
+        else:
+            assert hodge_degrees(p, s) == sorted(want)
+
+
 def test_coset_test_matches_direct_scan():
     from hgsearch.criteria import (
         _exists_good_solution,
         _image,
         _kernel_image_group,
-        _phi,
-        _prime_divisors,
     )
+    from hgsearch.residues import phi, prime_divisors
 
     def direct(coeffs, d, n):
-        primes = _prime_divisors(d)
+        primes = prime_divisors(d)
         base = _image(coeffs, d, tuple(primes))
         for shift in _kernel_image_group(d):
             y1 = base[0] + shift[0]
@@ -374,7 +472,7 @@ def test_coset_test_matches_direct_scan():
                 for y, pp in ((base[1 + i] + shift[1 + i], pp) for i, pp in enumerate(primes))
             ]
             if all(math.gcd(b, n) == 1 for b in bps):
-                if math.gcd(_phi(math.lcm(2 * y1.denominator, d)) // _phi(d), n) == 1:
+                if math.gcd(phi(math.lcm(2 * y1.denominator, d)) // phi(d), n) == 1:
                     return True
         return False
 

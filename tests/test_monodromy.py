@@ -5,7 +5,6 @@ import pytest
 from hgsearch.monodromy import (
     gj_coefficients,
     levelt_matrices,
-    pochhammer,
     verify_annihilation,
     verify_det_identities,
     verify_infinity_blocks,
@@ -17,12 +16,6 @@ from hgsearch.params import parse
 P9 = parse("d=9;a=0,0,0;b=1,2,6")
 P18 = parse("d=18;a=0,0,0,3;b=4,11,16,17")
 P21 = parse("d=21;a=0,0,0,0,0;b=1,2,4,15,20")
-
-
-def test_pochhammer():
-    assert pochhammer(Fraction(1), 4) == 24
-    assert pochhammer(Fraction(1, 2), 2) == Fraction(3, 4)
-    assert pochhammer(Fraction(5), 0) == 1
 
 
 def test_levelt_shapes():

@@ -11,7 +11,6 @@ from hgsearch.params import (
     parse,
     scale,
     scaling_orbit,
-    translate,
     validate,
 )
 
@@ -70,12 +69,10 @@ def test_a_vector():
     assert av[:3] == (0, 0, 0)
 
 
-def test_scale_and_translate_preserve_validity():
+def test_scale_preserves_validity():
     p = parse("d=9;a=0,0,0;b=1,2,6")
     q = scale(p, 2)
     assert sorted(q.betas) == [2, 3, 4]
-    r = translate(p, 5)
-    assert sorted(r.alphas) == [5, 5, 5]
 
 
 def test_scaling_orbit_size_divides_units():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,9 +10,21 @@ from hgsearch.residues import (
     complements,
     difference_multiset,
     is_cyclic_ap,
+    is_prime,
+    phi,
+    prime_divisors,
     unit_subgroups,
     units,
 )
+
+
+def test_number_theory_matches_brute_force():
+    for m in range(1, 3001):
+        divisors = [q for q in range(2, m + 1) if m % q == 0]
+        primes = [q for q in divisors if all(q % r for r in range(2, q))]
+        assert prime_divisors(m) == primes, m
+        assert is_prime(m) == (divisors == [m]), m
+        assert phi(m) == sum(1 for x in range(1, m + 1) if math.gcd(x, m) == 1), m
 
 
 def test_bracket_small_values():
