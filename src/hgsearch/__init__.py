@@ -20,7 +20,6 @@ from .criteria import (
     minimal_admissible_subgroup,
     pseudoreflection_det,
     scaling_stabilizer,
-    zigzag_regular,
 )
 from .jacobi import (
     PrimeFieldCtx,
@@ -95,5 +94,4 @@ __all__ = [
     "units",
     "verify_annihilation",
     "verify_levelt",
-    "zigzag_regular",
 ]

@@ -1,15 +1,14 @@
 """Combinatorial criteria on hypergeometric parameters.
 
 Everything here is exact integer / rational arithmetic: Hodge degrees,
-regularity (R), the zigzag reformulation, unipotent-monodromy block
-structure (UM), big monodromy (BM), finite monodromy (BM_fin), and the
-determinant criterion (D) including the integer lattice computation in
-the span of the epsilon functions.
+regularity (R) as the separation of alphas from betas under every unit,
+unipotent-monodromy block structure (UM), big monodromy (BM), finite
+monodromy (BM_fin), and the determinant criterion (D) including the integer
+lattice computation in the span of the epsilon functions.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections import Counter
@@ -49,68 +48,35 @@ def hodge_degrees(p: HgParam, s: int = 1) -> List[int]:
     """
     d = p.d
     out = []
-    for bj, v in zip(p.betas, _reg_values(p, s)):
-        tot = d * (d - 1) // 2 + v
+    for bj in p.betas:
+        tot = d * (d - 1) // 2 + sum(bracket(s * (bj - a), d) for a in p.alphas)
+        tot -= sum(bracket(s * (bj - b), d) for b in p.betas)
         if tot % d != 0:
             raise NonIntegralDegree(f"d={d} does not divide {tot} at beta={bj}, s={s}")
         out.append(tot // d - 1)
     return sorted(out)
 
 
-def _reg_values(p: HgParam, s: int) -> List[int]:
-    """The bracket sums sum_i [s(b_j - a_i)] - sum_i [s(b_j - b_i)], one per
-    beta_j in order: the kernel of the Hodge degrees, (R) and (D)."""
-    d = p.d
-    vals = []
-    for bj in p.betas:
-        v = sum(bracket(s * (bj - a), d) for a in p.alphas)
-        v -= sum(bracket(s * (bj - b), d) for b in p.betas)
-        vals.append(v)
-    return vals
-
-
 def is_regular(p: HgParam) -> bool:
-    """Criterion (R): for every unit s the n sums are pairwise distinct."""
-    for s in units(p.d):
-        vals = _reg_values(p, s)
-        if len(set(vals)) != len(vals):
+    """Criterion (R): under every unit s the n Hodge degrees are distinct.
+
+    Equivalently, under every unit s the residues s*alpha and s*beta, read
+    cyclically, form one run of alphas and one run of betas: the zigzag
+    picture, the opposite of Beukers-Heckman interlacing.  With the residues
+    in [0, d), d*(p_j + 1) is C(d,2) + sum(s*b) - sum(s*a) plus d times the
+    number of alphas minus the number of betas above s*b_j.  From one beta
+    down to the next that count steps by (alphas between them) - 1, and it
+    takes n distinct values exactly when all alphas lie in one cyclic gap
+    between betas.  So each unit sorts the 2n tagged residues and requires
+    exactly 2 tag changes around the circle.
+    """
+    d = p.d
+    for s in units(d):
+        tagged = sorted([(s * a % d, 0) for a in p.alphas] + [(s * b % d, 1) for b in p.betas])
+        tags = [t for _, t in tagged]
+        if sum(t != tags[i - 1] for i, t in enumerate(tags)) != 2:
             return False
     return True
-
-
-def _zigzag_once(d: int, alphas: Sequence[int], betas: Sequence[int]) -> bool:
-    # Walk x = 1..d and accumulate mult_alpha(x) - mult_beta(x).  The walk is
-    # cyclic (it returns to its start since |alpha| = |beta|); regularity at
-    # s=1 is equivalent to the plateau-collapsed walk having at most one
-    # cyclic local maximum.
-    ma = Counter(a % d for a in alphas)
-    mb = Counter(b % d for b in betas)
-    walk = []
-    cur = 0
-    for x in range(d):
-        cur += ma.get(x, 0) - mb.get(x, 0)
-        walk.append(cur)
-    vals = [v for v, _ in itertools.groupby(walk)]
-    if len(vals) > 1 and vals[0] == vals[-1]:
-        vals.pop()
-    if len(vals) <= 2:
-        return True
-    m = len(vals)
-    nmax = sum(
-        1
-        for i in range(m)
-        if vals[i] > vals[i - 1] and vals[i] > vals[(i + 1) % m]
-    )
-    return nmax <= 1
-
-
-def zigzag_regular(p: HgParam) -> bool:
-    """Criterion (R) via the zigzag walk; agrees with is_regular everywhere."""
-    d = p.d
-    return all(
-        _zigzag_once(d, [s * a % d for a in p.alphas], [s * b % d for b in p.betas])
-        for s in units(d)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -457,28 +423,8 @@ def _good_coset(d: int, n: int, base: Tuple[Fraction, ...]) -> bool:
 # Determinant criterion (D)
 
 
-def _bracket_sum(c: Tuple[int, int, int], s: int, d: int) -> int:
+def _bracket_sum(c: Sequence[int], s: int, d: int) -> int:
     return sum(bracket(s * ci, d) for ci in c)
-
-
-def _pairing_bases(p: HgParam) -> Optional[Dict[int, int]]:
-    """base(s), the sum of _reg_values(p, s), for each unit s; None when the
-    pairing identity (clause (iii)) fails at some s.
-
-    Clause (iii) reads sum_{i,j} [s(b_j - a_i)] = n sum_i [s(b_i - a_i)].
-    The betas are distinct and s is a unit, so the pairs i != j add
-    [s(b_j - b_i)] + [s(b_i - b_j)] = d, and the left side is
-    base(s) + d C(n,2).
-    """
-    d, n = p.d, p.n
-    pairs = d * n * (n - 1) // 2
-    bases = {}
-    for s in units(d):
-        base = sum(_reg_values(p, s))
-        if base + pairs != n * sum(bracket(s * (b - a), d) for a, b in zip(p.alphas, p.betas)):
-            return None
-        bases[s] = base
-    return bases
 
 
 def _clause_iv(p: HgParam, f: IntFunction, published: bool) -> bool:
@@ -496,8 +442,17 @@ def _clause_iv(p: HgParam, f: IntFunction, published: bool) -> bool:
 
 
 def det_condition(p: HgParam, c: Tuple[int, int, int], published: bool = True) -> bool:
-    """Criterion (D): regularity, constancy of w(s), the pairing identity,
-    and integer solvability in E(d) with the coprimality conditions.
+    """Criterion (D): regularity, constancy of w(s), and integer solvability
+    in E(d) with the coprimality conditions.
+
+    w(s) = sum_{i,j} [s(b_j - a_i)] - sum_{i != j} [s(b_j - b_i)] + n S_c(s).
+    Under (R) the alphas and betas are separated under every unit s: in a
+    rotated window every s*alpha comes before every s*beta, so each
+    [s(b_j - a_i)] is a plain difference and the first sum is n P(s), with
+    P(s) = sum_i [s(b_i - a_i)] over any pairing.  The betas are distinct,
+    so the pairs i != j add [s(b_j - b_i)] + [s(b_i - b_j)] = d.  Hence
+    w(s) = n (P(s) + S_c(s)) - d C(n,2), constant exactly when P(s) + S_c(s)
+    is.
 
     With published=True (default) the coprimality is tested on the unique
     solution over the fixed pivot basis, which is what the published tables
@@ -506,11 +461,8 @@ def det_condition(p: HgParam, c: Tuple[int, int, int], published: bool = True) -
     """
     if not is_regular(p):
         return False
-    bases = _pairing_bases(p)
-    if bases is None:
-        return False
-    # w(s) = base(s) + n S_c(s) must not depend on s
-    if len({b + p.n * _bracket_sum(c, s, p.d) for s, b in bases.items()}) != 1:
+    terms = [b - a for a, b in zip(p.alphas, p.betas)] + list(c)
+    if len({_bracket_sum(terms, s, p.d) for s in units(p.d)}) != 1:
         return False
     return _clause_iv(p, build_f(p, c), published)
 
@@ -541,21 +493,14 @@ def find_c(p: HgParam, published: bool = True) -> Optional[Tuple[int, int, int]]
     """First admissible c-triple making (D) hold, scanning (0,0,0) then the
     all-nonzero triples in lexicographic order.
 
-    w(s) = base(s) + n S_c(s) with base(s) the sum of _reg_values(p, s), so
-    w is constant over the units exactly when the profile of c equals
-    ((base(u_0) - base(s)) / n)_s; only the triples with that profile are
-    tested with clause (iv)."""
+    w(s) is constant over the units exactly when the profile of c equals
+    (P(u_0) - P(s))_s (see det_condition); only the triples with that
+    profile are tested with clause (iv)."""
     if not is_regular(p):
         return None
-    bases = _pairing_bases(p)
-    if bases is None:
-        return None
-    n = p.n
-    base = list(bases.values())
-    gaps = [base[0] - b for b in base]
-    if any(g % n for g in gaps):
-        return None
-    for c in _c_index(p.d).get(tuple(g // n for g in gaps), ()):
+    d, pairing = p.d, [b - a for a, b in zip(p.alphas, p.betas)]
+    sums = [_bracket_sum(pairing, s, d) for s in units(d)]
+    for c in _c_index(d).get(tuple(sums[0] - x for x in sums), ()):
         if _clause_iv(p, build_f(p, c), published):
             return c
     return None

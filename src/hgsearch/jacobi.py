@@ -12,12 +12,15 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .criteria import hodge_degrees, is_regular
 from .cyclo import CycNum, root_of_unity
 from .params import HgParam, a_vector
 from .residues import is_prime, prime_divisors, units
 
 # PrimeFieldCtx keeps a discrete-log table of l entries
 MAX_ELL = 10**6
+# the Hensel lifts and embeddings work modulo l**prec
+MAX_PREC = 1000
 
 
 class DegenerateIndices(Exception):
@@ -235,6 +238,8 @@ def motive_valuations(p: HgParam, ell: int, prec: int = 40) -> Dict[int, List[in
         raise ValueError("need l = 1 mod d")
     if prec < 1:
         raise ValueError(f"precision must be >= 1, got {prec}")
+    if prec > MAX_PREC:
+        raise ValueError(f"precision {prec} is above the cap {MAX_PREC}")
     ctx = PrimeFieldCtx(d, ell)
     avec = a_vector(p)
     sums = [jacobi(ctx, [(aj + bi) % d for aj in avec]) for bi in p.betas]
@@ -256,8 +261,6 @@ def hodge_newton_check(p: HgParam, ell: int, prec: int = 40) -> bool:
 def hodge_newton_report(p: HgParam, ell: int, prec: int = 40) -> Tuple[Dict[int, List[int]], bool]:
     """motive_valuations(p, ell, prec) with hodge_newton_check's verdict on
     them, from one computation of the Jacobi sums."""
-    from .criteria import hodge_degrees, is_regular
-
     if not is_regular(p):
         raise ValueError("parameter is not regular")
     newton = motive_valuations(p, ell, prec)

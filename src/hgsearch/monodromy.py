@@ -16,6 +16,9 @@ from .cyclo import CycMatrix, CycNum, poly_from_roots, root_of_unity, unipotent_
 from .params import HgParam
 from .residues import bracket
 
+# the series coefficients are exact fractions that grow with the order
+MAX_ORDER = 1000
+
 
 @dataclass(frozen=True)
 class LeveltPair:
@@ -115,6 +118,8 @@ def gj_coefficients(p: HgParam, j: int, big_k: int) -> TruncSeries:
         raise ValueError("j out of range")
     if big_k < 0:
         raise ValueError(f"order must be >= 0, got {big_k}")
+    if big_k > MAX_ORDER:
+        raise ValueError(f"order {big_k} is above the cap {MAX_ORDER}")
     d = p.d
     b1 = p.betas[0]
     bj = p.betas[j - 1]

@@ -30,7 +30,6 @@ from hgsearch.criteria import (
     jordan_blocks,
     mean_bracket,
     solve_in_E_basis,
-    zigzag_regular,
 )
 from hgsearch.jacobi import (
     PrimeFieldCtx,
@@ -53,6 +52,7 @@ from hgsearch.tables import (
     reproduce_special,
     row_param,
 )
+from test_criteria import _reference_is_regular
 
 WORKERS = 8
 
@@ -243,11 +243,11 @@ def test_acceptance_7_property_suites():
         if not good:
             checks.append(("bracket", d, x))
 
-    # regularity definition vs walk reformulation
+    # separation test vs the definition of regularity
     for _ in range(1200):
         p = _random_param(rng)
-        if is_regular(p) != zigzag_regular(p):
-            checks.append(("zigzag", p.literal()))
+        if is_regular(p) != _reference_is_regular(p):
+            checks.append(("R-definition", p.literal()))
 
     # scaling invariance of the criteria that are scale equivariant
     for _ in range(1000):

@@ -110,6 +110,24 @@ def test_verify_ode_negative_order(capsys):
     assert "bad ode check" in capsys.readouterr().err
 
 
+def test_verify_ode_order_above_the_cap(capsys):
+    from hgsearch.monodromy import MAX_ORDER
+
+    args = ["verify-ode", "--param", "d=9;a=0,0,0;b=1,2,6", "--order", str(MAX_ORDER + 1)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "bad ode check" in err and str(MAX_ORDER) in err
+
+
+def test_verify_jacobi_prec_above_the_cap(capsys):
+    from hgsearch.jacobi import MAX_PREC
+
+    args = ["verify-jacobi", "--param", "d=9;a=0,0,0;b=1,2,6", "--ell", "19"]
+    assert main([*args, "--prec", str(MAX_PREC + 1)]) == 2
+    err = capsys.readouterr().err
+    assert "bad jacobi check" in err and str(MAX_PREC) in err
+
+
 def test_verify_jacobi_computes_the_sums_once(monkeypatch, capsys):
     # the package exports a function named jacobi, so fetch the module itself
     jacobi = importlib.import_module("hgsearch.jacobi")

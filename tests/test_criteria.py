@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -26,7 +27,6 @@ from hgsearch.criteria import (
     pseudoreflection_det,
     scaling_stabilizer,
     solve_in_E_basis,
-    zigzag_regular,
 )
 from hgsearch.params import HgParam, parse, scale
 from hgsearch.residues import UnitSubgroup, units
@@ -73,13 +73,48 @@ def random_param(draw):
     return HgParam(d=d, alphas=alphas, betas=betas, c=None)
 
 
+def _reference_is_regular(p):
+    """(R) as defined: under every unit s the n numerators d*(p_j + 1) - C(d,2)
+    of the Hodge degrees, as direct double sums, are pairwise distinct."""
+    d = p.d
+    for s in units(d):
+        nums = [
+            sum((s * (b - a)) % d for a in p.alphas) - sum((s * (b - bb)) % d for bb in p.betas)
+            for b in p.betas
+        ]
+        if len(set(nums)) != len(nums):
+            return False
+    return True
+
+
+def _every_valid_param(d_max):
+    for d in range(3, d_max + 1):
+        for n in range(1, d):
+            for betas in itertools.combinations(range(d), n):
+                rest = [x for x in range(d) if x not in betas]
+                for head in itertools.combinations_with_replacement(rest, n - 1):
+                    last = (d * (d - 1) // 2 + sum(betas) - sum(head)) % d
+                    # each alpha multiset once: head sorted, last on top
+                    if last not in betas and last >= max(head, default=0):
+                        yield HgParam(d, head + (last,), betas)
+
+
 @settings(max_examples=1200, deadline=None)
 @given(random_param())
-def test_zigzag_matches_direct_regularity(p):
-    # the walk reformulation must agree with the definition everywhere
+def test_is_regular_matches_definition(p):
+    # the separation test must agree with the definition everywhere
     if p is None:
         return
-    assert zigzag_regular(p) == is_regular(p)
+    assert is_regular(p) == _reference_is_regular(p)
+
+
+def test_is_regular_matches_definition_on_every_small_param():
+    seen = {True: 0, False: 0}
+    for p in _every_valid_param(11):
+        want = _reference_is_regular(p)
+        assert is_regular(p) == want, p.literal()
+        seen[want] += 1
+    assert seen[True] > 1000 and seen[False] > 10 * seen[True], seen
 
 
 @settings(max_examples=400, deadline=None)
@@ -351,7 +386,7 @@ def _reference_det_condition(p, c, published):
     from hgsearch.criteria import _clause_iv
 
     return (
-        is_regular(p)
+        _reference_is_regular(p)
         and _reference_clause_iii(p)
         and len({_reference_w(p, c, s) for s in units(p.d)}) == 1
         and _clause_iv(p, build_f(p, c), published)
@@ -403,15 +438,11 @@ def test_det_condition_matches_double_sum_reference():
     assert outcomes == {True: {True, False}, False: {True, False}}
 
 
-def test_pairing_bases_match_double_sum_reference():
-    # Clause (iii) can only fail on a parameter that is not regular: under
-    # (R) the alphas and betas are separated under every unit s, and then
-    # both sides count d for each alpha above each beta.  So both outcomes
-    # are exercised here, on every valid parameter, rather than through
-    # det_condition and find_c, which test (R) first.
-    from hgsearch.criteria import _pairing_bases
-
-    rng = random.Random(5)
+def test_pairing_sum_matches_double_sum_reference():
+    # Under (R) the alphas and betas are separated under every unit s, so
+    # clause (iii) holds, and w(s) at c = (0,0,0) is n P(s) - d C(n,2) with
+    # P(s) = sum_i [s(b_i - a_i)] over any pairing of alphas with betas.
+    rng, shuffler = random.Random(5), random.Random(6)
     seen = set()
     for _ in range(3000):
         d = rng.randint(3, 24)
@@ -422,16 +453,42 @@ def test_pairing_bases_match_double_sum_reference():
         if last in betas or set(head) & set(betas):
             continue
         p = parse(f"d={d};a={','.join(map(str, head + [last]))};b={','.join(map(str, betas))}")
-        ok = _reference_clause_iii(p)
-        got = _pairing_bases(p)
-        if not ok:
-            assert got is None, p.literal()
-        else:
-            assert list(got) == units(d)
-            for s, base in got.items():
-                assert base == _reference_w(p, (0, 0, 0), s), (p.literal(), s)
-        seen.add((is_regular(p), ok))
-    assert seen == {(True, True), (False, True), (False, False)}, seen
+        regular = is_regular(p)
+        seen.add(regular)
+        if not regular:
+            continue
+        assert _reference_clause_iii(p), p.literal()
+        shuffled = shuffler.sample(p.betas, n)
+        for s in units(d):
+            want = _reference_w(p, (0, 0, 0), s) + d * n * (n - 1) // 2
+            for paired in (p.betas, shuffled):
+                got = n * sum((s * (b - a)) % d for a, b in zip(p.alphas, paired))
+                assert got == want, (p.literal(), paired, s)
+    assert seen == {True, False}, seen
+
+
+def test_strict_d_is_scaling_invariant():
+    # strict (D) asks for some good solution in the whole lattice, so a
+    # parameter passes exactly when each of its unit scalings does; checked
+    # on every regular n=4 parameter of the pool
+    found = {True: 0, False: 0}
+    for p in (p for p in _regular_pool() if p.n == 4):
+        want = find_c(p, False) is None
+        for s in units(p.d):
+            assert (find_c(scale(p, s), False) is None) == want, (p.literal(), s)
+        found[want] += 1
+    assert all(found.values()), found
+
+
+def test_published_d_is_not_scaling_invariant():
+    # The published reading tests coprimality on the one solution pinned to
+    # the pivot basis, and scaling moves that solution.  This is why
+    # SearchSpec refuses --dedup unless the criteria are strict.
+    p = parse("d=18;a=0,0,0,3;b=4,11,16,17")
+    q = scale(p, 7)
+    assert q.betas == (4, 5, 10, 11)
+    assert find_c(p) == (1, 7, 10)
+    assert find_c(q) is None
 
 
 @settings(max_examples=400, deadline=None)
