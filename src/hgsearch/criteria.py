@@ -24,6 +24,7 @@ from .residues import (
     bracket,
     complements,
     difference_multiset,
+    gap_masks,
     is_cyclic_ap,
     phi,
     prime_divisors,
@@ -67,16 +68,19 @@ def is_regular(p: HgParam) -> bool:
     number of alphas minus the number of betas above s*b_j.  From one beta
     down to the next that count steps by (alphas between them) - 1, and it
     takes n distinct values exactly when all alphas lie in one cyclic gap
-    between betas.  So each unit sorts the 2n tagged residues and requires
-    exactly 2 tag changes around the circle.
+    between betas, that is, when all betas lie in one cyclic gap between
+    consecutive distinct s*alpha.  That gap must be the one holding s*b_1,
+    so (R) holds exactly when every beta lies in b_1's entry of the
+    per-(d, alpha) table gap_masks, the intersection of those gaps over the
+    units.  A search chunk's candidates share their alphas, so the chunk
+    builds the table once.
     """
-    d = p.d
-    for s in units(d):
-        tagged = sorted([(s * a % d, 0) for a in p.alphas] + [(s * b % d, 1) for b in p.betas])
-        tags = [t for _, t in tagged]
-        if sum(t != tags[i - 1] for i, t in enumerate(tags)) != 2:
-            return False
-    return True
+    # the entries above b_1's lie past bit d - 1, where the betas have none
+    allowed = gap_masks(p.d, p.alphas) >> (p.betas[0] * p.d)
+    bits = 0
+    for b in p.betas:
+        bits |= 1 << b
+    return bits & allowed == bits
 
 
 # ---------------------------------------------------------------------------

@@ -94,16 +94,16 @@ def validate(
         raise ValidationError("alpha and beta must have the same length")
     if not 0 < n < d:
         raise ValidationError(f"need 0 < n < d, got n={n}, d={d}")
-    a = tuple(sorted(x % d for x in alphas))
-    b = tuple(sorted(x % d for x in betas))
-    if len(set(b)) != n:
+    a = tuple(sorted([x % d for x in alphas]))
+    b = tuple(sorted([x % d for x in betas]))
+    beta_set = set(b)
+    if len(beta_set) != n:
         raise BetaRepeat(f"repeated beta in {b}")
-    if set(a) & set(b):
-        raise AlphaBetaCollision(f"alpha and beta share {sorted(set(a) & set(b))}")
-    if (sum(a) - sum(b)) % d != math.comb(d, 2) % d:
-        raise SumMismatch(
-            f"sum(alpha)-sum(beta) = {(sum(a) - sum(b)) % d} != C({d},2) = {math.comb(d, 2) % d} mod {d}"
-        )
+    if not beta_set.isdisjoint(a):
+        raise AlphaBetaCollision(f"alpha and beta share {sorted(beta_set.intersection(a))}")
+    diff, want = (sum(a) - sum(b)) % d, math.comb(d, 2) % d
+    if diff != want:
+        raise SumMismatch(f"sum(alpha)-sum(beta) = {diff} != C({d},2) = {want} mod {d}")
     cc: Optional[tuple[int, int, int]] = None
     if c is not None:
         if len(c) != 3:

@@ -52,6 +52,37 @@ def units(d: int) -> list[int]:
     return [x for x in range(1, d) if math.gcd(x, d) == 1]
 
 
+@lru_cache(maxsize=64)
+def gap_masks(d: int, values: tuple[int, ...]) -> int:
+    """The cyclic gaps that the residues in values cut, intersected over the
+    units and packed into one int (a tuple would park each evicted table on
+    the interpreter's free list for its size): bits x*d to x*d + d - 1 mark
+    the residues that, under every unit s, lie strictly inside the same
+    cyclic gap between consecutive distinct s*v as x; they are 0 when x is
+    one of the values.
+
+    Under s, a step of s*x by one is a step of x by t = 1/s, and t runs over
+    the units as s does: each unit t walks x = v_1 + k*t, k = 1..d, once
+    around the circle, closing a gap at each value.  -t walks the same gaps
+    backwards, so the units below d/2 suffice.
+    """
+    cuts = set(values)
+    table = [(1 << d) - 1] * d
+    us = units(d)
+    for t in us[: len(us) // 2]:
+        members, mask = [], 0
+        for k in range(1, d + 1):
+            x = (values[0] + k * t) % d
+            if x in cuts:
+                for y in members:
+                    table[y] &= mask
+                members, mask = [], 0
+            else:
+                members.append(x)
+                mask |= 1 << x
+    return sum(entry << (x * d) for x, entry in enumerate(table) if x not in cuts)
+
+
 def is_cyclic_ap(values: Iterable[int], d: int) -> bool:
     """True iff the sorted representatives in [0, d-1] have a constant
     difference, i.e. the set is b, b+k, ..., b+(m-1)k without wrapping

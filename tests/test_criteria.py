@@ -29,7 +29,7 @@ from hgsearch.criteria import (
     solve_in_E_basis,
 )
 from hgsearch.params import HgParam, parse, scale
-from hgsearch.residues import UnitSubgroup, units
+from hgsearch.residues import UnitSubgroup, gap_masks, units
 from hgsearch.search import _candidate_params, enumerate_alphas
 
 P9 = parse("d=9;a=0,0,0;b=1,2,6")
@@ -115,6 +115,52 @@ def test_is_regular_matches_definition_on_every_small_param():
         assert is_regular(p) == want, p.literal()
         seen[want] += 1
     assert seen[True] > 1000 and seen[False] > 10 * seen[True], seen
+
+
+def _draw_param(rng, d, n, alpha=None):
+    """A random valid parameter of modulus d and length n, its alphas all
+    equal to alpha if given, or None when the draw breaks a clause."""
+    betas = rng.sample(range(d), n)
+    if alpha is None:
+        head = [rng.randrange(d) for _ in range(n - 1)]
+    else:
+        head, betas[-1] = [alpha] * (n - 1), (n * alpha - d * (d - 1) // 2 - sum(betas[:-1])) % d
+    last = (d * (d - 1) // 2 + sum(betas) - sum(head)) % d
+    alphas = tuple(sorted(head + [last]))
+    if len(set(betas)) < n or set(alphas) & set(betas):
+        return None
+    return HgParam(d, alphas, tuple(sorted(betas)))
+
+
+def test_is_regular_matches_definition_up_to_d30_across_cache_evictions():
+    rng = random.Random(30)
+    params = []
+    while len(params) < 3000:
+        d = rng.choice((29, 30)) if len(params) < 600 else rng.randint(3, 30)
+        n = rng.randint(1, min(7, d - 1))
+        # every fifth draw has one distinct alpha, so one gap per unit
+        p = _draw_param(rng, d, n, rng.randrange(d) if len(params) % 5 == 0 else None)
+        if p is not None:
+            params.append(p)
+    # d=30 candidates with two distinct alphas, where regular ones are rare
+    params += [p for g in (2, 5, 9) for p in _candidate_params(30, (0, 0, g, g))]
+    keys = {(p.d, p.alphas) for p in params}
+    assert len(keys) > 20 * gap_masks.cache_info().maxsize
+    gap_masks.cache_clear()
+    seen = {"one gap": 0, "several gaps": 0, False: 0}
+    for _ in range(2):
+        rng.shuffle(params)
+        for p in params:
+            want = _reference_is_regular(p)
+            assert is_regular(p) == want, p.literal()
+            if want:
+                seen["one gap" if len(set(p.alphas)) == 1 else "several gaps"] += 1
+            else:
+                seen[False] += 1
+    # tables were evicted and rebuilt, and answered the same after it
+    assert gap_masks.cache_info().misses > len(keys)
+    assert min(seen.values()) > 400, seen
+    assert any(p.d == 30 and p.n == 4 and len(set(p.alphas)) == 2 and is_regular(p) for p in params)
 
 
 @settings(max_examples=400, deadline=None)

@@ -1,8 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from hgsearch.cli import main
 from hgsearch.params import (
+    AlphaBetaCollision,
     BadCTriple,
+    BetaRepeat,
     HgParam,
     SumMismatch,
     ValidationError,
@@ -58,6 +61,40 @@ def test_c_triple_rules():
     # all-zero and balanced all-nonzero are fine
     validate(9, (0, 0, 0), (1, 2, 6), c=(0, 0, 0))
     validate(9, (0, 0, 0), (1, 2, 6), c=(3, 7, 8))
+
+
+# (alphas, betas, c) over d=9, the error class validate raises, and its
+# exact message
+VALIDATION_ERRORS = [
+    ((0, 0, 0), (3, 12, 3), None, BetaRepeat, "repeated beta in (3, 3, 3)"),
+    ((5, 1, 0), (10, 5, 7), None, AlphaBetaCollision, "alpha and beta share [1, 5]"),
+    ((0, 0, 0), (1, 2, 7), None, SumMismatch, "sum(alpha)-sum(beta) = 8 != C(9,2) = 0 mod 9"),
+    ((0, 0, 0), (1, 2, 6), (1, 8), BadCTriple, "c must have 3 entries, got 2"),
+    ((0, 0, 0), (1, 2, 6), (1, 1, 1), BadCTriple, "c entries sum to 3 != 0 mod 9"),
+    ((0, 0, 0), (1, 2, 6), (10, 0, 8), BadCTriple, "c mixes zero and nonzero entries: (0, 1, 8)"),
+]
+
+
+@pytest.mark.parametrize("alphas, betas, c, cls, message", VALIDATION_ERRORS)
+def test_validate_error_class_and_message(alphas, betas, c, cls, message):
+    with pytest.raises(ValidationError) as info:
+        validate(9, alphas, betas, c)
+    assert type(info.value) is cls
+    assert str(info.value) == message
+
+
+# the literal syntax has room for exactly three c entries
+@pytest.mark.parametrize(
+    "alphas, betas, c, cls, message", [e for e in VALIDATION_ERRORS if e[2] is None or len(e[2]) == 3]
+)
+def test_cli_reports_validation_error_on_stderr(alphas, betas, c, cls, message, capsys):
+    literal = "d=9;a={};b={}".format(",".join(map(str, alphas)), ",".join(map(str, betas)))
+    if c is not None:
+        literal += ";c=" + ",".join(map(str, c))
+    assert main(["check", "--param", literal]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"bad parameter literal: {message}\n"
 
 
 def test_a_vector():

@@ -9,6 +9,7 @@ from hgsearch.residues import (
     closure,
     complements,
     difference_multiset,
+    gap_masks,
     is_cyclic_ap,
     is_prime,
     phi,
@@ -104,3 +105,17 @@ def test_full_group_is_closed(d):
     for a in u.elements:
         for b in u.elements:
             assert (a * b) % d in u
+
+
+def _entries(table, d):
+    return [(table >> (d * x)) & ((1 << d) - 1) for x in range(d)]
+
+
+def test_gap_masks_of_one_distinct_value_is_one_gap():
+    assert _entries(gap_masks(9, (4, 4, 4)), 9) == [0b111101111] * 4 + [0] + [0b111101111] * 4
+
+
+def test_gap_masks_intersect_the_gaps_of_every_unit():
+    # under s = 1 the gaps of {0, 2} mod 5 are {1} and {3, 4}; under s = 3,
+    # 1, 3 and 4 go to 3, 4 and 2, one gap of {0, 1}; s = 2, 4 mirror these
+    assert _entries(gap_masks(5, (0, 2)), 5) == [0, 0b00010, 0, 0b11000, 0b11000]

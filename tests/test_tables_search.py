@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 
@@ -75,6 +76,22 @@ def test_enumerate_betas_sum_and_exclusion():
         assert sum(betas) % 9 == 0
         assert 0 not in betas
         assert len(set(betas)) == 3
+
+
+def test_enumerate_betas_is_the_brute_force_list_in_order():
+    # the same tuples in the same order: --limit and find_witness keep the
+    # first hits in this order
+    cases = [(4, (2, 2), 12), (4, (3, 1), 12), (5, (3, 1, 1), 10)]
+    for n, part, d_max in cases:
+        for d in range(n + 1, d_max + 1):
+            for alphas in enumerate_alphas(d, part):
+                required = (sum(alphas) - d * (d - 1) // 2) % d
+                want = [
+                    betas
+                    for betas in itertools.combinations(range(d), n)
+                    if not set(betas) & set(alphas) and sum(betas) % d == required
+                ]
+                assert list(enumerate_betas(d, n, required, set(alphas))) == want, (d, alphas)
 
 
 def test_enumerate_betas_includes_table_row():
