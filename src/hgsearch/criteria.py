@@ -104,6 +104,19 @@ def _negated(vals: Sequence[int], s: int, d: int) -> Counter:
     return Counter((-v - s) % d for v in vals)
 
 
+def _bm_shared(p: HgParam) -> Optional[int]:
+    """Bullet 1 or 3 of bm, whichever fails first, or None: the bullets
+    that bm and bm_published share."""
+    d = p.d
+    if len(set(p.alphas)) >= p.n:
+        return 1
+    ca, cb = Counter(p.alphas), Counter(p.betas)
+    for s in range(1, d):
+        if _translated(p.alphas, s, d) == ca and _translated(p.betas, s, d) == cb:
+            return 3
+    return None
+
+
 def bm(p: HgParam) -> Tuple[bool, Optional[int]]:
     """Criterion (BM).  Returns (pass, failed_bullet or None).
 
@@ -112,14 +125,11 @@ def bm(p: HgParam) -> Tuple[bool, Optional[int]]:
     including 0, with {-a-s} = {a+s} and {-b-s} = {b+s}.
     """
     d = p.d
-    if len(set(p.alphas)) >= p.n:
-        return False, 1
-    if is_cyclic_ap(p.betas, d):
+    shared = _bm_shared(p)
+    if shared != 1 and is_cyclic_ap(p.betas, d):
         return False, 2
-    ca, cb = Counter(p.alphas), Counter(p.betas)
-    for s in range(1, d):
-        if _translated(p.alphas, s, d) == ca and _translated(p.betas, s, d) == cb:
-            return False, 3
+    if shared is not None:
+        return False, shared
     for s in range(d):
         if (
             _negated(p.alphas, s, d) == _translated(p.alphas, s, d)
@@ -248,48 +258,51 @@ def e_basis_index(d: int) -> List[Tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _solve_transform(d: int):
-    """One Gauss-Jordan pass over [M | I], where M has the epsilon spanning
-    set as columns over the d-1 points and pivots are taken column by column
-    in listed order.
+def _e_columns(d: int) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, ...], ...]]:
+    """The (k, a) index of the epsilon spanning set and each function's
+    values over the d-1 points."""
+    idx = tuple(e_basis_index(d))
+    return idx, tuple(tuple(epsilon(d, k, a).values) for k, a in idx)
 
-    Returns (idx, cols, piv, t, den) with t the integer rows of den * T, where
-    T is the accumulated row transform: T M_piv = [I; 0].  So the first
-    len(piv) rows of t give den times the pivot coefficients of f, and the
-    remaining rows vanish on f exactly when f lies in the span.
+
+def _matrix(cols: Sequence[Sequence[int]], rows: int) -> List[List[int]]:
+    return [[col[i] for col in cols] for i in range(rows)]
+
+
+@lru_cache(maxsize=None)
+def _solve_transform(d: int):
+    """The pivot basis of the epsilon spanning set and an integer solve
+    transform for it, from the Smith form U M_piv V = [D; 0] of the matrix
+    M_piv of pivot columns over the d-1 points.
+
+    Pivots are taken greedily in listed order: a column is a pivot when it
+    lies outside the rational span of the pivots before it.  U is
+    unimodular, so its rows past the rank span the rational left kernel of
+    M_piv, and a column lies in the span exactly when they all vanish on it.
+
+    Returns (idx, cols, piv, t, den) with den = lcm(D).  The first len(piv)
+    rows of t are den V D^-1 U[:r], which give den times the pivot
+    coefficients of f; the remaining rows, U[r:], vanish on f exactly when f
+    lies in the span.
 
     Solving against the pivot columns alone (all other coefficients zero)
     mirrors the published computation, which inverted the matrix of one
     chosen set of basis elements rather than searching the full solution
     lattice.
     """
-    idx = e_basis_index(d)
-    cols = [epsilon(d, k, a).values for k, a in idx]
-    rows, m = d - 1, len(cols)
-    mat = [
-        [Fraction(cols[j][i]) for j in range(m)] + [Fraction(int(i == k)) for k in range(rows)]
-        for i in range(rows)
-    ]
-    piv = []
-    r = 0
-    for j in range(m):
-        if r == rows:
-            break
-        sel = next((i for i in range(r, rows) if mat[i][j] != 0), None)
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        pv = mat[r][j]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][j] != 0:
-                fac = mat[i][j]
-                mat[i] = [a - fac * b for a, b in zip(mat[i], mat[r])]
-        piv.append(j)
-        r += 1
-    den = math.lcm(*(x.denominator for row in mat for x in row[m:]))
-    t = tuple(tuple(int(x * den) for x in row[m:]) for row in mat)
-    return idx, cols, tuple(piv), t, den
+    idx, cols = _e_columns(d)
+    rows = d - 1
+    piv: List[int] = []
+    left = [[int(i == k) for k in range(rows)] for i in range(rows)]
+    for j, col in enumerate(cols):
+        if any(sum(a * b for a, b in zip(row, col)) for row in left):
+            piv.append(j)
+            sf = smith_form(_matrix([cols[k] for k in piv], rows))
+            left = sf.u[sf.rank :]
+    den = math.lcm(*sf.diag)
+    scaled = [[den // dq * x for x in row] for dq, row in zip(sf.diag, sf.u)]
+    t = [[sum(a * b for a, b in zip(vrow, col)) for col in zip(*scaled)] for vrow in sf.v]
+    return idx, cols, tuple(piv), tuple(map(tuple, t + left)), den
 
 
 def solve_in_E_basis(f: IntFunction) -> Optional[Dict[Tuple[int, int], int]]:
@@ -311,11 +324,8 @@ def solve_in_E_basis(f: IntFunction) -> Optional[Dict[Tuple[int, int], int]]:
 
 @lru_cache(maxsize=None)
 def _e_lattice(d: int) -> Tuple[Tuple[Tuple[int, int], ...], SmithForm, Tuple[Tuple[int, ...], ...]]:
-    idx = tuple(e_basis_index(d))
-    # columns are the epsilon functions, rows the d-1 points
-    cols = [epsilon(d, k, a).values for k, a in idx]
-    a = [[cols[j][i] for j in range(len(cols))] for i in range(d - 1)]
-    sf = smith_form(a)
+    idx, cols = _e_columns(d)
+    sf = smith_form(_matrix(cols, d - 1))
     ker = tuple(tuple(v) for v in kernel_basis(sf))
     return idx, sf, ker
 
@@ -331,17 +341,12 @@ def solve_in_E(f: IntFunction):
     return coeffs, kernel
 
 
-@dataclass(frozen=True)
-class GammaExponents:
-    y1: Fraction
-    yp: Dict[int, Fraction]
-    b1: int
-    bp: Dict[int, int]
-
-
-def gamma_exponents(x: Dict[Tuple[int, int], int], d: int) -> GammaExponents:
-    """Exponent bookkeeping for the gamma factor attached to a coefficient
-    vector over the epsilon spanning set."""
+def gamma_exponents(x: Dict[Tuple[int, int], int], d: int) -> Tuple[Fraction, ...]:
+    """(y1 mod 1, y_p mod 1 for each prime p | d, increasing): the exponents
+    of the gamma factor attached to a coefficient vector over the epsilon
+    spanning set, reduced mod 1.  The denominators b1 and b_p of clause (iv)
+    depend only on this image: b1 is the denominator of y1, and b_p that of
+    y_p or 2 y_p, none of which an integer shift changes."""
     primes = prime_divisors(d)
     # y1 = sum over k=1 of coeff*a/d, plus over k=p of coeff*(a*k/d + (k-1)/4);
     # y_p = sum over k=p of coeff*(1/2 - a/d).  Numerators over 4d and 2d.
@@ -353,74 +358,48 @@ def gamma_exponents(x: Dict[Tuple[int, int], int], d: int) -> GammaExponents:
         else:
             nump[k] += coeff * (d - 2 * a)
             num1 += coeff * (4 * a * k + (k - 1) * d)
-    y1 = Fraction(num1, 4 * d)
-    yp = {pp: Fraction(nump[pp], 2 * d) for pp in primes}
-    bp = {pp: _b_p(yp[pp], pp, d) for pp in primes}
-    return GammaExponents(y1=y1, yp=yp, b1=y1.denominator, bp=bp)
+    return (Fraction(num1, 4 * d) % 1,) + tuple(Fraction(nump[pp], 2 * d) % 1 for pp in primes)
 
 
 def _b_p(yp: Fraction, pp: int, d: int) -> int:
     return (2 * yp).denominator if d % 4 == 0 or pp % 4 == 1 else yp.denominator
 
 
-def _coprimality_ok(b1: int, bps: Iterable[int], d: int, n: int) -> bool:
-    if any(math.gcd(b, n) != 1 for b in bps):
-        return False
-    return math.gcd(phi(math.lcm(2 * b1, d)) // phi(d), n) == 1
-
-
-def _frac_mod1(q: Fraction) -> Fraction:
-    return q - (q.numerator // q.denominator)
-
-
-def _image(x: Dict[Tuple[int, int], int], d: int, primes: Sequence[int]) -> Tuple[Fraction, ...]:
-    """(y1 mod 1, y_p mod 1 ...) for a coefficient vector; the denominators
-    b1, b_p only depend on this image."""
-    g = gamma_exponents(x, d)
-    return tuple([_frac_mod1(g.y1)] + [_frac_mod1(g.yp[pp]) for pp in primes])
-
-
 @lru_cache(maxsize=None)
 def _kernel_image_group(d: int) -> Tuple[Tuple[Fraction, ...], ...]:
     """Subgroup of (Q/Z)^m generated by the images of the kernel vectors."""
     idx, sf, ker = _e_lattice(d)
-    primes = tuple(prime_divisors(d))
-    gens = [_image(dict(zip(idx, v)), d, primes) for v in ker]
-    zero = tuple(Fraction(0) for _ in range(1 + len(primes)))
+    gens = [gamma_exponents(dict(zip(idx, v)), d) for v in ker]
+    zero = tuple(Fraction(0) for _ in range(1 + len(prime_divisors(d))))
     group = {zero}
     frontier = [zero]
     while frontier:
         cur = frontier.pop()
         for g in gens:
-            nxt = tuple(_frac_mod1(a + b) for a, b in zip(cur, g))
+            nxt = tuple((a + b) % 1 for a, b in zip(cur, g))
             if nxt not in group:
                 group.add(nxt)
                 frontier.append(nxt)
     return tuple(sorted(group, key=lambda t: tuple((q.numerator, q.denominator) for q in t)))
 
 
-def _exists_good_solution(coeffs: Dict[Tuple[int, int], int], d: int, n: int) -> bool:
-    """Whether some integer solution in the affine lattice coeffs + kernel
-    satisfies the coprimality conditions.  The conditions only depend on the
-    y-values mod 1, so it suffices to scan the finite coset of the kernel
-    image group."""
-    return _good_coset(d, n, _image(coeffs, d, tuple(prime_divisors(d))))
-
-
 @lru_cache(maxsize=None)
-def _good_coset(d: int, n: int, base: Tuple[Fraction, ...]) -> bool:
-    # The images have denominators dividing 4d, so for each (d, n) there are
-    # finitely many keys.
+def _good_coset(d: int, n: int, image: Tuple[Fraction, ...], published: bool) -> bool:
+    """Whether some solution whose gamma_exponents image lies in image plus
+    the kernel image group meets the coprimality conditions of clause (iv).
+    The published reading tests only the solution on the pivot basis, that
+    is, only the zero shift; the strict one scans the whole coset.
+
+    The images have denominators dividing 4d, so for each (d, n) there are
+    finitely many keys."""
     primes = prime_divisors(d)
-    return any(
-        _coprimality_ok(
-            (base[0] + shift[0]).denominator,
-            (_b_p(y + z, pp, d) for y, z, pp in zip(base[1:], shift[1:], primes)),
-            d,
-            n,
-        )
-        for shift in _kernel_image_group(d)
-    )
+    for shift in [(0,) * len(image)] if published else _kernel_image_group(d):
+        y1, *yps = (y + z for y, z in zip(image, shift))
+        if all(math.gcd(_b_p(y, pp, d), n) == 1 for y, pp in zip(yps, primes)) and (
+            math.gcd(phi(math.lcm(2 * y1.denominator, d)) // phi(d), n) == 1
+        ):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +415,12 @@ def _clause_iv(p: HgParam, f: IntFunction, published: bool) -> bool:
         coeffs = solve_in_E_basis(f)
         if coeffs is None:
             return False
-        g = gamma_exponents(coeffs, p.d)
-        return _coprimality_ok(g.b1, g.bp.values(), p.d, p.n)
-    try:
-        coeffs, _ = solve_in_E(f)
-    except NoSolution:
-        return False
-    return _exists_good_solution(coeffs, p.d, p.n)
+    else:
+        try:
+            coeffs, _ = solve_in_E(f)
+        except NoSolution:
+            return False
+    return _good_coset(p.d, p.n, gamma_exponents(coeffs, p.d), published)
 
 
 def det_condition(p: HgParam, c: Tuple[int, int, int], published: bool = True) -> bool:
@@ -519,14 +497,7 @@ def bm_published(p: HgParam) -> bool:
     (see tables.KNOWN_BM_DISCREPANCIES), so the tables can only be
     reproduced without them.
     """
-    d = p.d
-    if len(set(p.alphas)) >= p.n:
-        return False
-    ca, cb = Counter(p.alphas), Counter(p.betas)
-    for s in range(1, d):
-        if _translated(p.alphas, s, d) == ca and _translated(p.betas, s, d) == cb:
-            return False
-    return True
+    return _bm_shared(p) is None
 
 
 # ---------------------------------------------------------------------------

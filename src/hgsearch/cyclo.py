@@ -376,10 +376,8 @@ class CycMatrix:
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
-        aug = CycMatrix(
-            self.level,
-            [row + CycMatrix.identity(self.level, n).entries[i] for i, row in enumerate(self.entries)],
-        )
+        eye = CycMatrix.identity(self.level, n).entries
+        aug = CycMatrix(self.level, [row + eye[i] for i, row in enumerate(self.entries)])
         ech, _, _, _ = aug._eliminated()
         # the identity block keeps the rank at n; a singular left block
         # leaves the last row's left half zero

@@ -42,7 +42,7 @@ class PrecisionExhausted(Exception):
 def least_prime_above(d: int, lower: int = 2) -> int:
     """Smallest prime l >= lower with l = 1 mod d."""
     l = lower + ((1 - lower) % d)
-    while l < lower or not is_prime(l):
+    while not is_prime(l):
         l += d
     return l
 

@@ -56,10 +56,10 @@ def _levelt(p: HgParam) -> tuple[LeveltPair, CycMatrix]:
 
 def _char_poly_check(m: CycMatrix, d: int, exponents) -> bool:
     # evaluate det(xI - M) at each claimed root; cheap and exact
+    n = m.rows
+    zero = CycNum.zero(m.level)
     for e in exponents:
-        z = root_of_unity(d, e).lift(m.level) if d != m.level else root_of_unity(d, e)
-        n = m.rows
-        zero = CycNum.zero(m.level)
+        z = root_of_unity(d, e).lift(m.level)
         shifted = CycMatrix(
             m.level,
             [

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,7 +30,7 @@ from hgsearch.criteria import (
     scaling_stabilizer,
     solve_in_E_basis,
 )
-from hgsearch.params import HgParam, parse, scale
+from hgsearch.params import HgParam, parse, scale, validate
 from hgsearch.residues import UnitSubgroup, gap_masks, units
 from hgsearch.search import _candidate_params, enumerate_alphas
 
@@ -283,10 +285,11 @@ def test_solve_in_E_basis_reexpands(d, data):
 def test_gamma_exponents_rationality():
     f = build_f(P18, (1, 7, 10))
     x = solve_in_E_basis(f)
-    g = gamma_exponents(x, 18)
-    assert isinstance(g.y1, Fraction)
-    assert g.b1 >= 1
-    assert set(g.bp) == {2, 3}
+    image = gamma_exponents(x, 18)
+    # y1, then y_2 and y_3, each reduced mod 1 and with denominator dividing 4d
+    assert len(image) == 3
+    assert all(isinstance(y, Fraction) and 0 <= y < 1 for y in image)
+    assert all((4 * 18 * y).denominator == 1 for y in image)
 
 
 def test_det_condition_table_rows():
@@ -312,17 +315,40 @@ def test_full_report_shape():
     assert d["UM"] == [3]
 
 
-def _reference_solve(f):
-    """Fraction Gauss-Jordan on [M_piv | f]: the rational solution on the
-    pivot basis, or None when f is outside the span."""
+@functools.lru_cache(maxsize=None)
+def _reference_pivots(d):
+    """Greedy Fraction rank increments over the epsilon columns in listed
+    order: a column is a pivot when it is independent of the pivots before
+    it."""
+    reduced, piv = [], []
+    for j, (k, a) in enumerate(e_basis_index(d)):
+        v = [Fraction(x) for x in epsilon(d, k, a).values]
+        for lead, row in reduced:
+            if v[lead]:
+                fac = v[lead] / row[lead]
+                v = [x - fac * y for x, y in zip(v, row)]
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is not None:
+            reduced.append((lead, v))
+            piv.append(j)
+    return tuple(piv)
+
+
+def test_solve_transform_pivots_match_greedy_reference():
     from hgsearch.criteria import _solve_transform
 
-    idx, cols, piv = _solve_transform(f.d)[:3]
+    for d in range(3, 49):
+        assert _solve_transform(d)[2] == _reference_pivots(d), d
+
+
+def _reference_solve(f):
+    """Fraction Gauss-Jordan on [M_piv | f]: the rational solution on the
+    greedy pivot basis, or None when f is outside the span."""
+    idx = e_basis_index(f.d)
+    piv = _reference_pivots(f.d)
+    cols = [epsilon(f.d, *idx[j]).values for j in piv]
     rows = f.d - 1
-    aug = [
-        [Fraction(cols[j][i]) for j in piv] + [Fraction(f.values[i])]
-        for i in range(rows)
-    ]
+    aug = [[Fraction(col[i]) for col in cols] + [Fraction(f.values[i])] for i in range(rows)]
     r = 0
     for j in range(len(piv)):
         sel = next(i for i in range(r, rows) if aug[i][j] != 0)
@@ -558,35 +584,92 @@ def test_hodge_degrees_match_double_sum_reference(p):
 
 
 def test_coset_test_matches_direct_scan():
-    from hgsearch.criteria import (
-        _exists_good_solution,
-        _image,
-        _kernel_image_group,
-    )
+    # Both readings of clause (iv) go through the one memoised coset test.
+    # The published one must match the conditions on the unreduced y-values
+    # of the given solution, the strict one the same conditions on every
+    # shift of that solution's image by the kernel image group.
+    from hgsearch.criteria import _good_coset, _kernel_image_group
     from hgsearch.residues import phi, prime_divisors
 
-    def direct(coeffs, d, n):
-        primes = prime_divisors(d)
-        base = _image(coeffs, d, tuple(primes))
-        for shift in _kernel_image_group(d):
-            y1 = base[0] + shift[0]
-            bps = [
-                (2 * y).denominator if d % 4 == 0 or pp % 4 == 1 else y.denominator
-                for y, pp in ((base[1 + i] + shift[1 + i], pp) for i, pp in enumerate(primes))
-            ]
-            if all(math.gcd(b, n) == 1 for b in bps):
-                if math.gcd(phi(math.lcm(2 * y1.denominator, d)) // phi(d), n) == 1:
-                    return True
-        return False
+    def ok(y1, yps, d, n):
+        bps = [
+            (2 * y).denominator if d % 4 == 0 or pp % 4 == 1 else y.denominator
+            for y, pp in zip(yps, prime_divisors(d))
+        ]
+        return all(math.gcd(b, n) == 1 for b in bps) and (
+            math.gcd(phi(math.lcm(2 * y1.denominator, d)) // phi(d), n) == 1
+        )
+
+    def unreduced(coeffs, d):
+        y1 = sum(
+            co * Fraction(a, d) if k == 1 else co * (Fraction(a * k, d) + Fraction(k - 1, 4))
+            for (k, a), co in coeffs.items()
+        )
+        yps = [
+            sum(co * (Fraction(1, 2) - Fraction(a, d)) for (k, a), co in coeffs.items() if k == pp)
+            for pp in prime_divisors(d)
+        ]
+        return Fraction(y1), [Fraction(y) for y in yps]
 
     rng = random.Random(3)
-    outcomes = set()
+    outcomes = {True: set(), False: set()}
     for d in range(3, 25):
         idx = e_basis_index(d)
         for _ in range(20):
             coeffs = {key: rng.randint(-6, 6) for key in rng.sample(idx, min(len(idx), 5))}
+            y1, yps = unreduced(coeffs, d)
+            image = gamma_exponents(coeffs, d)
+            assert image == tuple(y % 1 for y in [y1] + yps), (d, coeffs)
             for n in (3, 4, 6):
-                want = direct(coeffs, d, n)
-                assert _exists_good_solution(coeffs, d, n) == want, (d, n, coeffs)
-                outcomes.add(want)
-    assert outcomes == {True, False}
+                want = ok(y1, yps, d, n)
+                assert _good_coset(d, n, image, True) == want, (d, n, coeffs)
+                outcomes[True].add(want)
+                want = any(
+                    ok(y1 + z[0], [y + w for y, w in zip(yps, z[1:])], d, n)
+                    for z in _kernel_image_group(d)
+                )
+                assert _good_coset(d, n, image, False) == want, (d, n, coeffs)
+                outcomes[False].add(want)
+    assert outcomes == {True: {True, False}, False: {True, False}}
+
+
+def _reference_bm_failures(p):
+    """The BM bullets that fail, each evaluated from its statement."""
+    d, a, b = p.d, list(p.alphas), list(p.betas)
+
+    def moved(vals, sign, shift):
+        return sorted((sign * v + shift) % d for v in vals)
+
+    step = b[1] - b[0]
+    failing = {
+        1: len(set(a)) == len(a),
+        2: b == [b[0] + i * step for i in range(len(b))],
+        3: any(moved(a, 1, t) == a and moved(b, 1, t) == b for t in range(1, d)),
+        4: any(
+            moved(a, -1, -s) == moved(a, 1, s) and moved(b, -1, -s) == moved(b, 1, s)
+            for s in range(d)
+        ),
+    }
+    return [k for k in (1, 2, 3, 4) if failing[k]]
+
+
+def test_bm_matches_reference_bullets():
+    # every valid n=3 and n=4 parameter with d <= 10
+    seen = Counter()
+    for d in range(4, 11):
+        for n in range(3, min(d, 5)):
+            for alphas in itertools.combinations_with_replacement(range(d), n):
+                for betas in itertools.combinations(range(d), n):
+                    if (sum(alphas) - sum(betas) - d * (d - 1) // 2) % d or set(alphas) & set(betas):
+                        continue
+                    p = validate(d, alphas, betas)
+                    failing = _reference_bm_failures(p)
+                    first = failing[0] if failing else None
+                    assert bm(p) == (first is None, first), p.literal()
+                    assert bm_published(p) == (1 not in failing and 3 not in failing), p.literal()
+                    seen[first] += 1
+    assert set(seen) == {None, 1, 2, 4}, seen
+    # bullet 3 is the first to fail on none of them; here it is
+    p = parse("d=12;a=0,0,6,6;b=1,2,7,8")
+    assert _reference_bm_failures(p) == [3]
+    assert bm(p) == (False, 3) and not bm_published(p)

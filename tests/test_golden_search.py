@@ -26,6 +26,10 @@ CASES = (
         "--strict-criteria", "--dedup",
     ],
     ["search", "--n", "5", "--partition", "3,1,1", "--d-min", "24", "--d-max", "24", "--limit", "1"],
+    # moduli with two and three prime divisors pin the published pivot-basis
+    # solve; at d=30 its common denominator is 4
+    ["search", "--n", "4", "--partition", "3,1", "--d-min", "18", "--d-max", "20"],
+    ["search", "--n", "4", "--partition", "2,2", "--d-min", "24", "--d-max", "30"],
 )
 
 
