@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .intlattice import NoSolution, SmithForm, kernel_basis, smith_form, solve_lattice
@@ -177,75 +178,42 @@ def minimal_admissible_subgroup(p: HgParam) -> Optional[UnitSubgroup]:
 
 # ---------------------------------------------------------------------------
 # Integer functions on (Z/dZ) \ {0} and the epsilon lattice
+#
+# A function on (Z/dZ) \ {0} is the tuple of its d-1 values, f(x) at index
+# x-1, so d is len(f) + 1.
 
 
-class IntFunction:
-    """Integer-valued function on (Z/dZ) \\ {0}, stored as a length d-1 array."""
-
-    __slots__ = ("d", "values")
-
-    def __init__(self, d: int, values: Optional[Sequence[int]] = None):
-        self.d = d
-        if values is None:
-            self.values = [0] * (d - 1)
-        else:
-            if len(values) != d - 1:
-                raise ValueError("expected d-1 values")
-            self.values = list(values)
-
-    def __getitem__(self, x: int) -> int:
-        x %= self.d
-        if x == 0:
-            raise KeyError("0 is outside the domain")
-        return self.values[x - 1]
-
-    def add_delta(self, a: int, weight: int = 1) -> None:
-        a %= self.d
-        if a != 0:
-            self.values[a - 1] += weight
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntFunction)
-            and self.d == other.d
-            and self.values == other.values
-        )
-
-    def __repr__(self) -> str:
-        return f"IntFunction(d={self.d}, {self.values})"
+def _function(d: int, base: int, deltas: Iterable[Tuple[int, int]]) -> Tuple[int, ...]:
+    """base everywhere plus weight * delta_x for each (x, weight) in deltas,
+    a delta at 0 dropped."""
+    values = [base] * (d - 1)
+    for x, weight in deltas:
+        x %= d
+        if x:
+            values[x - 1] += weight
+    return tuple(values)
 
 
-def mean_bracket(f: IntFunction, s: int) -> Fraction:
+def mean_bracket(f: Sequence[int], s: int) -> Fraction:
     """<f>(s) = (1/d) sum_a f(a) [s a], exact."""
-    d = f.d
-    return Fraction(sum(f.values[a - 1] * bracket(s * a, d) for a in range(1, d)), d)
+    d = len(f) + 1
+    return Fraction(sum(v * bracket(s * a, d) for a, v in enumerate(f, 1)), d)
 
 
-def build_f(p: HgParam, c: Tuple[int, int, int]) -> IntFunction:
+def build_f(p: HgParam, c: Tuple[int, int, int]) -> Tuple[int, ...]:
     """The determinant-criterion function n + sum d_{b_j-a_i}
     - sum_{i != j} d_{b_j-b_i} + n sum d_{c_i}, delta terms at 0 dropped."""
-    d, n = p.d, p.n
-    f = IntFunction(d, [n] * (d - 1))
-    for bj in p.betas:
-        for a in p.alphas:
-            f.add_delta(bj - a)
-    for i, bi in enumerate(p.betas):
-        for j, bj in enumerate(p.betas):
-            if i != j:
-                f.add_delta(bj - bi, -1)
-    for ci in c:
-        f.add_delta(ci, n)
-    return f
+    n = p.n
+    deltas = [(bj - a, 1) for bj in p.betas for a in p.alphas]
+    deltas += [(bj - bi, -1) for bi, bj in permutations(p.betas, 2)]
+    deltas += [(ci, n) for ci in c]
+    return _function(p.d, n, deltas)
 
 
-def epsilon(d: int, k: int, a: int) -> IntFunction:
+def epsilon(d: int, k: int, a: int) -> Tuple[int, ...]:
     """epsilon_{k,a}(x) = delta_{-ka} + sum_{0 <= j < k} delta_{a + j d/k}."""
-    f = IntFunction(d)
-    f.add_delta(-k * a)
     step = d // k
-    for j in range(k):
-        f.add_delta(a + j * step)
-    return f
+    return _function(d, 0, [(-k * a, 1)] + [(a + j * step, 1) for j in range(k)])
 
 
 def e_basis_index(d: int) -> List[Tuple[int, int]]:
@@ -262,7 +230,7 @@ def _e_columns(d: int) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, ..
     """The (k, a) index of the epsilon spanning set and each function's
     values over the d-1 points."""
     idx = tuple(e_basis_index(d))
-    return idx, tuple(tuple(epsilon(d, k, a).values) for k, a in idx)
+    return idx, tuple(epsilon(d, k, a) for k, a in idx)
 
 
 def _matrix(cols: Sequence[Sequence[int]], rows: int) -> List[List[int]]:
@@ -305,17 +273,16 @@ def _solve_transform(d: int):
     return idx, cols, tuple(piv), tuple(map(tuple, t + left)), den
 
 
-def solve_in_E_basis(f: IntFunction) -> Optional[Dict[Tuple[int, int], int]]:
+def solve_in_E_basis(f: Sequence[int]) -> Optional[Dict[Tuple[int, int], int]]:
     """The unique solution supported on the fixed pivot basis, or None when
     it is inconsistent or non-integral."""
-    idx, _, piv, t, den = _solve_transform(f.d)
-    v = f.values
+    idx, _, piv, t, den = _solve_transform(len(f) + 1)
     r = len(piv)
-    if any(sum(a * b for a, b in zip(row, v)) for row in t[r:]):
+    if any(sum(a * b for a, b in zip(row, f)) for row in t[r:]):
         return None
     out = {}
     for j, row in zip(piv, t):
-        q, rem = divmod(sum(a * b for a, b in zip(row, v)), den)
+        q, rem = divmod(sum(a * b for a, b in zip(row, f)), den)
         if rem:
             return None
         out[idx[j]] = q
@@ -330,26 +297,24 @@ def _e_lattice(d: int) -> Tuple[Tuple[Tuple[int, int], ...], SmithForm, Tuple[Tu
     return idx, sf, ker
 
 
-def solve_in_E(f: IntFunction):
-    """Integer coefficients x with sum x_{k,a} eps_{k,a} = f, plus a kernel
-    basis of the relation lattice.  Raises NoSolution when f is not in the
-    integer span."""
-    idx, sf, ker = _e_lattice(f.d)
-    x = solve_lattice(sf, f.values)
-    coeffs = {key: x[i] for i, key in enumerate(idx)}
-    kernel = [dict(zip(idx, v)) for v in ker]
-    return coeffs, kernel
+def solve_in_E(f: Sequence[int]) -> Dict[Tuple[int, int], int]:
+    """Integer coefficients x with sum x_{k,a} eps_{k,a} = f.  Raises
+    NoSolution when f is not in the integer span."""
+    idx, sf, _ = _e_lattice(len(f) + 1)
+    return dict(zip(idx, solve_lattice(sf, f)))
 
 
-def gamma_exponents(x: Dict[Tuple[int, int], int], d: int) -> Tuple[Fraction, ...]:
-    """(y1 mod 1, y_p mod 1 for each prime p | d, increasing): the exponents
-    of the gamma factor attached to a coefficient vector over the epsilon
-    spanning set, reduced mod 1.  The denominators b1 and b_p of clause (iv)
-    depend only on this image: b1 is the denominator of y1, and b_p that of
-    y_p or 2 y_p, none of which an integer shift changes."""
+def gamma_exponents(x: Dict[Tuple[int, int], int], d: int) -> Tuple[int, ...]:
+    """(4d y1 mod 4d, 2d y_p mod 2d for each prime p | d, increasing): the
+    exponents of the gamma factor attached to a coefficient vector over the
+    epsilon spanning set, as numerators over 4d and 2d reduced mod 1.  The
+    denominators b1 and b_p of clause (iv) depend only on this image: b1 is
+    the denominator of y1, and b_p that of y_p or 2 y_p, none of which an
+    integer shift changes, since gcd(num, 4d) and gcd(num, 2d) do not move
+    when num moves by 4d or 2d."""
     primes = prime_divisors(d)
     # y1 = sum over k=1 of coeff*a/d, plus over k=p of coeff*(a*k/d + (k-1)/4);
-    # y_p = sum over k=p of coeff*(1/2 - a/d).  Numerators over 4d and 2d.
+    # y_p = sum over k=p of coeff*(1/2 - a/d).
     num1 = 0
     nump = dict.fromkeys(primes, 0)
     for (k, a), coeff in x.items():
@@ -358,45 +323,50 @@ def gamma_exponents(x: Dict[Tuple[int, int], int], d: int) -> Tuple[Fraction, ..
         else:
             nump[k] += coeff * (d - 2 * a)
             num1 += coeff * (4 * a * k + (k - 1) * d)
-    return (Fraction(num1, 4 * d) % 1,) + tuple(Fraction(nump[pp], 2 * d) % 1 for pp in primes)
+    return (num1 % (4 * d),) + tuple(nump[pp] % (2 * d) for pp in primes)
 
 
-def _b_p(yp: Fraction, pp: int, d: int) -> int:
-    return (2 * yp).denominator if d % 4 == 0 or pp % 4 == 1 else yp.denominator
+def _b_p(yp: int, pp: int, d: int) -> int:
+    """The denominator of 2 y_p (when 4 | d or p = 1 mod 4) or of y_p, for
+    y_p = yp / 2d."""
+    return d // math.gcd(yp, d) if d % 4 == 0 or pp % 4 == 1 else 2 * d // math.gcd(yp, 2 * d)
 
 
 @lru_cache(maxsize=None)
-def _kernel_image_group(d: int) -> Tuple[Tuple[Fraction, ...], ...]:
-    """Subgroup of (Q/Z)^m generated by the images of the kernel vectors."""
-    idx, sf, ker = _e_lattice(d)
+def _kernel_image_group(d: int) -> Tuple[Tuple[int, ...], ...]:
+    """Subgroup of Z/4d x (Z/2d)^m generated by the images of the kernel
+    vectors."""
+    idx, _, ker = _e_lattice(d)
     gens = [gamma_exponents(dict(zip(idx, v)), d) for v in ker]
-    zero = tuple(Fraction(0) for _ in range(1 + len(prime_divisors(d))))
+    mods = (4 * d,) + (2 * d,) * len(prime_divisors(d))
+    zero = (0,) * len(mods)
     group = {zero}
     frontier = [zero]
     while frontier:
         cur = frontier.pop()
         for g in gens:
-            nxt = tuple((a + b) % 1 for a, b in zip(cur, g))
+            nxt = tuple((a + b) % m for a, b, m in zip(cur, g, mods))
             if nxt not in group:
                 group.add(nxt)
                 frontier.append(nxt)
-    return tuple(sorted(group, key=lambda t: tuple((q.numerator, q.denominator) for q in t)))
+    return tuple(sorted(group))
 
 
 @lru_cache(maxsize=None)
-def _good_coset(d: int, n: int, image: Tuple[Fraction, ...], published: bool) -> bool:
+def _good_coset(d: int, n: int, image: Tuple[int, ...], published: bool) -> bool:
     """Whether some solution whose gamma_exponents image lies in image plus
     the kernel image group meets the coprimality conditions of clause (iv).
     The published reading tests only the solution on the pivot basis, that
     is, only the zero shift; the strict one scans the whole coset.
 
-    The images have denominators dividing 4d, so for each (d, n) there are
+    The images lie in Z/4d x (Z/2d)^m, so for each (d, n) there are
     finitely many keys."""
     primes = prime_divisors(d)
     for shift in [(0,) * len(image)] if published else _kernel_image_group(d):
         y1, *yps = (y + z for y, z in zip(image, shift))
+        b1 = 4 * d // math.gcd(y1, 4 * d)
         if all(math.gcd(_b_p(y, pp, d), n) == 1 for y, pp in zip(yps, primes)) and (
-            math.gcd(phi(math.lcm(2 * y1.denominator, d)) // phi(d), n) == 1
+            math.gcd(phi(math.lcm(2 * b1, d)) // phi(d), n) == 1
         ):
             return True
     return False
@@ -410,14 +380,14 @@ def _bracket_sum(c: Sequence[int], s: int, d: int) -> int:
     return sum(bracket(s * ci, d) for ci in c)
 
 
-def _clause_iv(p: HgParam, f: IntFunction, published: bool) -> bool:
+def _clause_iv(p: HgParam, f: Tuple[int, ...], published: bool) -> bool:
     if published:
         coeffs = solve_in_E_basis(f)
         if coeffs is None:
             return False
     else:
         try:
-            coeffs, _ = solve_in_E(f)
+            coeffs = solve_in_E(f)
         except NoSolution:
             return False
     return _good_coset(p.d, p.n, gamma_exponents(coeffs, p.d), published)

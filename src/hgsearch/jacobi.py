@@ -188,11 +188,11 @@ def jacobi_direct(ctx: PrimeFieldCtx, a_vec: Sequence[int]) -> CycNum:
 # l-adic embeddings and valuations
 
 
-def _hensel_roots(d: int, ell: int, prec: int) -> Dict[int, int]:
+def _hensel_roots(ctx: PrimeFieldCtx, prec: int) -> Dict[int, int]:
     """d-th roots of unity in Z/l^prec, keyed by unit s: root = lift of
-    g^{s(l-1)/d}."""
-    ctx_g = PrimeFieldCtx._least_primitive_root(ell)
-    base = pow(ctx_g, (ell - 1) // d, ell)
+    g^{s(l-1)/d}, with g the generator of ctx, the one its character uses."""
+    d, ell = ctx.d, ctx.ell
+    base = pow(ctx.g, (ell - 1) // d, ell)
     mod = ell ** prec
     out = {}
     for s in units(d):
@@ -243,7 +243,7 @@ def motive_valuations(p: HgParam, ell: int, prec: int = 40) -> Dict[int, List[in
     ctx = PrimeFieldCtx(d, ell)
     avec = a_vector(p)
     sums = [jacobi(ctx, [(aj + bi) % d for aj in avec]) for bi in p.betas]
-    roots = _hensel_roots(d, ell, prec)
+    roots = _hensel_roots(ctx, prec)
     mod = ell ** prec
     out: Dict[int, List[int]] = {}
     for s, omega in roots.items():

@@ -44,7 +44,7 @@ class BadCTriple(ValidationError):
 
 
 class InvalidScale(ValidationError):
-    """Scaling broke the sum clause (only possible for non-unit scales)."""
+    """The scale is not a unit mod d."""
 
 
 @dataclass(frozen=True)
@@ -148,25 +148,22 @@ def a_vector(p: HgParam) -> tuple[int, ...]:
 
 
 def scale(p: HgParam, s: int) -> HgParam:
-    """The parameter (s*alpha; s*beta; s*c) for a unit s, re-validated."""
+    """The parameter (s*alpha; s*beta; s*c) for a unit s, re-validated.
+
+    A unit keeps the sum clause: C(d,2) is 0 mod d for odd d and d/2 for
+    even d, where every unit is odd, so s*C(d,2) = C(d,2) mod d."""
     d = p.d
     if math.gcd(s, d) != 1:
         raise InvalidScale(f"{s} is not a unit mod {d}")
     c = None if p.c is None else [(s * x) % d for x in p.c]
-    try:
-        return validate(d, [(s * a) % d for a in p.alphas], [(s * b) % d for b in p.betas], c)
-    except SumMismatch as exc:
-        raise InvalidScale(str(exc)) from exc
+    return validate(d, [(s * a) % d for a in p.alphas], [(s * b) % d for b in p.betas], c)
 
 
 def scaling_orbit(p: HgParam) -> list[HgParam]:
-    """All distinct scale(p, s) over units s for which scaling is valid."""
+    """All distinct scale(p, s) over units s."""
     seen = {}
     for s in units(p.d):
-        try:
-            q = scale(p, s)
-        except InvalidScale:
-            continue
+        q = scale(p, s)
         seen[(q.alphas, q.betas)] = q
     return [seen[k] for k in sorted(seen)]
 

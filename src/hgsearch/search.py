@@ -212,20 +212,11 @@ def passing_moduli(
     d_min: int = 3,
     d_max: int = 30,
     workers: int = 1,
-    witness_only: bool = False,
 ) -> List[int]:
-    """Moduli d in range admitting at least one passing parameter.  With
-    witness_only the scan of each d stops at the first hit."""
+    """Moduli d in range admitting at least one passing parameter."""
     out = []
     for d in range(max(d_min, n + 1), d_max + 1):
-        spec = SearchSpec(
-            n=n,
-            partition=partition,
-            d_min=d,
-            d_max=d,
-            workers=workers,
-            limit=1 if witness_only else None,
-        )
+        spec = SearchSpec(n=n, partition=partition, d_min=d, d_max=d, workers=workers)
         if run_search(spec):
             out.append(d)
     return out

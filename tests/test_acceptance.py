@@ -18,7 +18,6 @@ from fractions import Fraction
 import pytest
 
 from hgsearch.criteria import (
-    IntFunction,
     bm,
     bm_finite,
     bm_published,
@@ -52,7 +51,7 @@ from hgsearch.tables import (
     reproduce_special,
     row_param,
 )
-from test_criteria import _reference_is_regular
+from test_criteria import _combine, _reference_is_regular
 
 WORKERS = 8
 
@@ -267,21 +266,12 @@ def test_acceptance_7_property_suites():
         idx, _, piv = _solve_transform(d)[:3]
         keys = rng.sample([idx[j] for j in piv], k=min(4, len(piv)))
         coeffs = {key: rng.randint(-3, 3) for key in keys}
-        f = IntFunction(d)
-        for (k, a), co in coeffs.items():
-            e = epsilon(d, k, a)
-            for i in range(1, d):
-                f.values[i - 1] += co * e.values[i - 1]
+        f = _combine(d, coeffs)
         x = solve_in_E_basis(f)
         if x is None:
             checks.append(("solve-none", d, coeffs))
             continue
-        acc = IntFunction(d)
-        for (k, a), co in x.items():
-            e = epsilon(d, k, a)
-            for i in range(1, d):
-                acc.values[i - 1] += co * e.values[i - 1]
-        if acc != f:
+        if _combine(d, x) != f:
             checks.append(("solve-reexpand", d, coeffs))
 
     # constant mean over units for every generator, exhaustively

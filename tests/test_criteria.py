@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hgsearch.criteria import (
-    IntFunction,
     NonIntegralDegree,
     bm,
     bm_finite,
@@ -28,8 +27,10 @@ from hgsearch.criteria import (
     minimal_admissible_subgroup,
     pseudoreflection_det,
     scaling_stabilizer,
+    solve_in_E,
     solve_in_E_basis,
 )
+from hgsearch.intlattice import NoSolution
 from hgsearch.params import HgParam, parse, scale, validate
 from hgsearch.residues import UnitSubgroup, gap_masks, units
 from hgsearch.search import _candidate_params, enumerate_alphas
@@ -241,16 +242,20 @@ def test_mean_bracket_constant_exhaustive():
             assert len(vals) == 1, (d, k, a)
 
 
+def _combine(d, coeffs):
+    """sum of co * epsilon_{k,a} over coeffs, as the tuple of its values."""
+    f = [0] * (d - 1)
+    for (k, a), co in coeffs.items():
+        f = [v + co * e for v, e in zip(f, epsilon(d, k, a))]
+    return tuple(f)
+
+
 def test_epsilon_solve_roundtrip():
     f = build_f(P18, (1, 7, 10))
+    assert len(f) == P18.d - 1
     x = solve_in_E_basis(f)
     assert x is not None
-    acc = IntFunction(P18.d)
-    for (k, a), coeff in x.items():
-        e = epsilon(P18.d, k, a)
-        for i in range(1, P18.d):
-            acc.values[i - 1] += coeff * e.values[i - 1]
-    assert acc == f
+    assert _combine(P18.d, x) == f
 
 
 @settings(max_examples=250, deadline=None)
@@ -267,29 +272,21 @@ def test_solve_in_E_basis_reexpands(d, data):
         key: data.draw(st.integers(-3, 3))
         for key in data.draw(st.sets(st.sampled_from(keys), min_size=1, max_size=4))
     }
-    f = IntFunction(d)
-    for (k, a), co in coeffs.items():
-        e = epsilon(d, k, a)
-        for i in range(1, d):
-            f.values[i - 1] += co * e.values[i - 1]
+    f = _combine(d, coeffs)
     x = solve_in_E_basis(f)
     assert x is not None
-    acc = IntFunction(d)
-    for (k, a), co in x.items():
-        e = epsilon(d, k, a)
-        for i in range(1, d):
-            acc.values[i - 1] += co * e.values[i - 1]
-    assert acc == f
+    assert _combine(d, x) == f
 
 
 def test_gamma_exponents_rationality():
     f = build_f(P18, (1, 7, 10))
     x = solve_in_E_basis(f)
     image = gamma_exponents(x, 18)
-    # y1, then y_2 and y_3, each reduced mod 1 and with denominator dividing 4d
+    # y1 as a numerator over 4d, then y_2 and y_3 over 2d, each reduced mod 1
     assert len(image) == 3
-    assert all(isinstance(y, Fraction) and 0 <= y < 1 for y in image)
-    assert all((4 * 18 * y).denominator == 1 for y in image)
+    assert all(type(y) is int for y in image)
+    assert 0 <= image[0] < 4 * 18
+    assert all(0 <= y < 2 * 18 for y in image[1:])
 
 
 def test_det_condition_table_rows():
@@ -322,7 +319,7 @@ def _reference_pivots(d):
     it."""
     reduced, piv = [], []
     for j, (k, a) in enumerate(e_basis_index(d)):
-        v = [Fraction(x) for x in epsilon(d, k, a).values]
+        v = [Fraction(x) for x in epsilon(d, k, a)]
         for lead, row in reduced:
             if v[lead]:
                 fac = v[lead] / row[lead]
@@ -344,11 +341,12 @@ def test_solve_transform_pivots_match_greedy_reference():
 def _reference_solve(f):
     """Fraction Gauss-Jordan on [M_piv | f]: the rational solution on the
     greedy pivot basis, or None when f is outside the span."""
-    idx = e_basis_index(f.d)
-    piv = _reference_pivots(f.d)
-    cols = [epsilon(f.d, *idx[j]).values for j in piv]
-    rows = f.d - 1
-    aug = [[Fraction(col[i]) for col in cols] + [Fraction(f.values[i])] for i in range(rows)]
+    d = len(f) + 1
+    idx = e_basis_index(d)
+    piv = _reference_pivots(d)
+    cols = [epsilon(d, *idx[j]) for j in piv]
+    rows = d - 1
+    aug = [[Fraction(col[i]) for col in cols] + [Fraction(f[i])] for i in range(rows)]
     r = 0
     for j in range(len(piv)):
         sel = next(i for i in range(r, rows) if aug[i][j] != 0)
@@ -396,7 +394,7 @@ def test_solve_in_E_basis_matches_fraction_reference():
     seen = {"solved": 0, "non-integral": 0, "inconsistent": 0}
     for d in range(3, 31):
         for values in _solver_cases(d, rng):
-            f = IntFunction(d, values)
+            f = tuple(values)
             want = _reference_solve(f)
             if want is None:
                 kind = "inconsistent"
@@ -426,10 +424,32 @@ def test_solve_in_E_basis_property(d, data):
     f = [v // div for v in f]
     if data.draw(st.booleans()):
         f[data.draw(st.integers(0, d - 2))] += data.draw(st.sampled_from((-1, 1)))
-    want = _reference_solve(IntFunction(d, f))
+    want = _reference_solve(tuple(f))
     if want is not None and any(v.denominator != 1 for v in want.values()):
         want = None
-    assert solve_in_E_basis(IntFunction(d, f)) == want
+    assert solve_in_E_basis(tuple(f)) == want
+
+
+def test_solve_in_E_matches_reference_and_basis_solve():
+    # strict mode's solve over the whole integer lattice: any solution it
+    # returns re-expands to f, it fails wherever f is outside the rational
+    # span, and it solves wherever the pivot-basis solve does
+    rng = random.Random(21)
+    seen = {"solved": 0, "no solution": 0}
+    for d in range(3, 31):
+        for values in _solver_cases(d, rng):
+            f = tuple(values)
+            try:
+                x = solve_in_E(f)
+            except NoSolution:
+                assert solve_in_E_basis(f) is None, (d, values)
+                seen["no solution"] += 1
+                continue
+            assert _reference_solve(f) is not None, (d, values)
+            assert list(x) == e_basis_index(d)
+            assert _combine(d, x) == f, (d, values)
+            seen["solved"] += 1
+    assert all(seen.values()), seen
 
 
 # References for (D) from the definitions, by direct double sums over the
@@ -619,13 +639,20 @@ def test_coset_test_matches_direct_scan():
             coeffs = {key: rng.randint(-6, 6) for key in rng.sample(idx, min(len(idx), 5))}
             y1, yps = unreduced(coeffs, d)
             image = gamma_exponents(coeffs, d)
-            assert image == tuple(y % 1 for y in [y1] + yps), (d, coeffs)
+            assert image == tuple(
+                y % 1 * m for y, m in zip([y1] + yps, [4 * d] + [2 * d] * len(yps))
+            ), (d, coeffs)
             for n in (3, 4, 6):
                 want = ok(y1, yps, d, n)
                 assert _good_coset(d, n, image, True) == want, (d, n, coeffs)
                 outcomes[True].add(want)
                 want = any(
-                    ok(y1 + z[0], [y + w for y, w in zip(yps, z[1:])], d, n)
+                    ok(
+                        y1 + Fraction(z[0], 4 * d),
+                        [y + Fraction(w, 2 * d) for y, w in zip(yps, z[1:])],
+                        d,
+                        n,
+                    )
                     for z in _kernel_image_group(d)
                 )
                 assert _good_coset(d, n, image, False) == want, (d, n, coeffs)

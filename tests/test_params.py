@@ -7,6 +7,7 @@ from hgsearch.params import (
     BadCTriple,
     BetaRepeat,
     HgParam,
+    InvalidScale,
     SumMismatch,
     ValidationError,
     a_vector,
@@ -110,6 +111,14 @@ def test_scale_preserves_validity():
     p = parse("d=9;a=0,0,0;b=1,2,6")
     q = scale(p, 2)
     assert sorted(q.betas) == [2, 3, 4]
+
+
+def test_scale_rejects_non_unit():
+    p = parse("d=12;a=0,0,4;b=1,2,7")
+    for s in (0, 2, 3, 4, 6, 8, 9, 10, 15, -2):
+        with pytest.raises(InvalidScale):
+            scale(p, s)
+    assert issubclass(InvalidScale, ValidationError)
 
 
 def test_scaling_orbit_size_divides_units():
