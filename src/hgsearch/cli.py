@@ -43,7 +43,11 @@ def _cmd_check(args) -> int:
     p = _parse_param(args.param)
     if p is None:
         return 2
-    rep = full_report(p)
+    try:
+        rep = full_report(p)
+    except ValueError as exc:
+        print(f"bad check: {exc}", file=sys.stderr)
+        return 2
     _emit(rep.to_dict(), args.format)
     ok = rep.regular and (rep.bm_pass or args.allow_bm_discrepancy) and rep.d_pass
     return 0 if ok else 1

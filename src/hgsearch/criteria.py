@@ -19,7 +19,7 @@ from itertools import permutations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .intlattice import NoSolution, SmithForm, kernel_basis, smith_form, solve_lattice
-from .params import HgParam
+from .params import MAX_D, HgParam
 from .residues import (
     UnitSubgroup,
     bracket,
@@ -156,24 +156,14 @@ def bm_finite(p: HgParam, u: UnitSubgroup) -> bool:
     """Criterion (BM_fin): stabilizer contained in U and U has a complement."""
     if u.modulus != p.d:
         raise ValueError("subgroup modulus does not match parameter")
-    s = scaling_stabilizer(p)
-    if not s.issubset(u):
-        return False
-    return bool(complements(u))
+    return scaling_stabilizer(p).issubset(u) and bool(complements(u))
 
 
 def minimal_admissible_subgroup(p: HgParam) -> Optional[UnitSubgroup]:
-    """Smallest unit subgroup U with bm_finite(p, U) true, if any."""
+    """Smallest unit subgroup U with bm_finite(p, U) true, if any: the first
+    in unit_subgroups order, which sorts by order."""
     s = scaling_stabilizer(p)
-    best = None
-    for u in unit_subgroups(p.d):
-        if not s.issubset(u):
-            continue
-        if not complements(u):
-            continue
-        if best is None or len(u.elements) < len(best.elements):
-            best = u
-    return best
+    return next((u for u in unit_subgroups(p.d) if s.issubset(u) and complements(u)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +410,15 @@ def det_condition(p: HgParam, c: Tuple[int, int, int], published: bool = True) -
 
 
 def _c_candidates(d: int) -> Iterable[Tuple[int, int, int]]:
+    """(0,0,0), then the all-nonzero triples with sum 0 mod d and
+    c1 <= c2 <= c3, in lexicographic order.  (D) sees c only as a multiset
+    (build_f and S_c are symmetric in c), and the lexicographically first
+    ordering of a multiset is its sorted one."""
     yield (0, 0, 0)
     for c1 in range(1, d):
-        for c2 in range(1, d):
+        for c2 in range(c1, d):
             c3 = (-c1 - c2) % d
-            if c3 != 0:
+            if c3 >= c2:
                 yield (c1, c2, c3)
 
 
@@ -507,6 +501,8 @@ class CriteriaReport:
 
 
 def full_report(p: HgParam) -> CriteriaReport:
+    if p.d > MAX_D:
+        raise ValueError(f"d = {p.d} is above the cap {MAX_D}")
     hodge = {s: hodge_degrees(p, s) for s in units(p.d)}
     regular = is_regular(p)
     um = jordan_blocks(p)

@@ -122,17 +122,6 @@ class CycNum:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def lift(self, new_level: int) -> "CycNum":
-        """Embed Q(zeta_m) into Q(zeta_M) via zeta_m = zeta_M^(M/m)."""
-        if new_level == self.level:
-            return self
-        if new_level % self.level != 0:
-            raise ValueError(f"{self.level} does not divide {new_level}")
-        step = new_level // self.level
-        out = [0] * (len(self.num) * step)
-        out[::step] = self.num
-        return _cyc(new_level, out, self.den)
-
     # --- arithmetic ---------------------------------------------------
     def __add__(self, other) -> "CycNum":
         return self._plus(other, 1)

@@ -112,9 +112,7 @@ def _gauss_product(ctx: PrimeFieldCtx, a_vec: Sequence[int]) -> Tuple[CycNum, in
     tm1 = ctx.tau_minus_one_exp()
     for a in a_vec:
         a %= d
-        if a == 0:
-            acc = -acc
-        elif s == 0:
+        if s == 0:
             acc = -acc
             s = a
         elif (s + a) % d == 0:
@@ -130,16 +128,13 @@ def _gauss_product(ctx: PrimeFieldCtx, a_vec: Sequence[int]) -> Tuple[CycNum, in
 
 def jacobi(ctx: PrimeFieldCtx, a_vec: Sequence[int]) -> CycNum:
     """J_{a_vec} = (-1)^m sum_{x_1+...+x_m=-1} prod tau(x_i)^{-a_i},
-    computed by chaining two-variable sums (all components must be nonzero
-    mod d)."""
+    computed by chaining two-variable sums.  Raises ZeroVector when a
+    component is 0 mod d; motive_valuations never builds one, since
+    alpha_k != beta_i and the s_k skip every -beta_i."""
     d, ell = ctx.d, ctx.ell
     m = len(a_vec)
-    if all(a % d == 0 for a in a_vec):
-        raise ZeroVector("all components vanish mod d")
     if any(a % d == 0 for a in a_vec):
-        if m <= 3 and ell <= 31:
-            return jacobi_direct(ctx, a_vec)
-        raise ZeroVector("zero component outside the direct-sum fallback range")
+        raise ZeroVector("a component vanishes mod d")
     # chain the Gauss sums g(chi_a) with chi_a = tau^{-a}
     acc, s, z = _gauss_product(ctx, a_vec)
     sign = -1 if m % 2 else 1

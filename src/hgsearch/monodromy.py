@@ -54,12 +54,12 @@ def _levelt(p: HgParam) -> tuple[LeveltPair, CycMatrix]:
     return pair, pair.a.inv() * pair.b
 
 
-def _char_poly_check(m: CycMatrix, d: int, exponents) -> bool:
+def _char_poly_check(m: CycMatrix, exponents) -> bool:
     # evaluate det(xI - M) at each claimed root; cheap and exact
     n = m.rows
     zero = CycNum.zero(m.level)
     for e in exponents:
-        z = root_of_unity(d, e).lift(m.level)
+        z = root_of_unity(m.level, e)
         shifted = CycMatrix(
             m.level,
             [
@@ -107,7 +107,6 @@ def verify_det_identities(p: HgParam) -> bool:
 @dataclass(frozen=True)
 class TruncSeries:
     exponent: int
-    step: int
     coeffs: Tuple[Fraction, ...]
 
 
@@ -135,7 +134,7 @@ def gj_coefficients(p: HgParam, j: int, big_k: int) -> TruncSeries:
         for z in dens:
             c /= z + (k - 1)
         coeffs.append(c)
-    return TruncSeries(exponent=bracket(b1 - bj, d), step=d, coeffs=tuple(coeffs))
+    return TruncSeries(exponent=bracket(b1 - bj, d), coeffs=tuple(coeffs))
 
 
 def verify_annihilation(p: HgParam, j: int, big_k: int) -> bool:
@@ -172,9 +171,9 @@ def verify_annihilation(p: HgParam, j: int, big_k: int) -> bool:
 def verify_levelt(p: HgParam) -> bool:
     """Bundle of the exact matrix checks, used by the CLI."""
     pair, _ = _levelt(p)
-    if not _char_poly_check(pair.a, p.d, p.alphas):
+    if not _char_poly_check(pair.a, p.alphas):
         return False
-    if not _char_poly_check(pair.b, p.d, p.betas):
+    if not _char_poly_check(pair.b, p.betas):
         return False
     return (
         verify_pseudoreflection(p)

@@ -22,6 +22,13 @@ from typing import Optional, Sequence
 
 from .residues import units
 
+# check and search refuse d above MAX_D, and search refuses n above MAX_N:
+# full_report walks every subgroup of (Z/dZ)^x, seconds near d = 120 and
+# tens of seconds past 200, and a search scans about C(d, n-1) beta sets
+# per alpha shape
+MAX_D = 120
+MAX_N = 7
+
 
 class ValidationError(ValueError):
     """Base class for parameter validation failures."""

@@ -105,14 +105,15 @@ class UnitSubgroup:
     __slots__ = ("modulus", "elements")
 
     def __init__(self, modulus: int, elements: Iterable[int]):
-        elems = sorted({e % modulus for e in elements})
-        if 1 not in elems:
+        members = {e % modulus for e in elements}
+        elems = sorted(members)
+        if 1 not in members:
             raise ValueError("subgroup must contain 1")
         for a in elems:
             if math.gcd(a, modulus) != 1:
                 raise ValueError(f"{a} is not a unit mod {modulus}")
             for b in elems:
-                if (a * b) % modulus not in elems:
+                if (a * b) % modulus not in members:
                     raise ValueError("not closed under multiplication")
         self.modulus = modulus
         self.elements = tuple(elems)
@@ -150,11 +151,13 @@ def closure(d: int, gens: Iterable[int]) -> UnitSubgroup:
         elems |= new
 
 
-def unit_subgroups(d: int) -> list[UnitSubgroup]:
+@lru_cache(maxsize=None)
+def unit_subgroups(d: int) -> tuple[UnitSubgroup, ...]:
     """Every subgroup of (Z/dZ)^x, each once, sorted by (order, elements).
 
     Iterated closure: extend each known subgroup by each unit until no new
-    subgroup appears.  Group orders in scope are <= phi(168) = 48.
+    subgroup appears.  Memoised per d, since complements() reads the list
+    once per candidate U.
     """
     us = units(d)
     found = {UnitSubgroup(d, [1])}
@@ -168,23 +171,16 @@ def unit_subgroups(d: int) -> list[UnitSubgroup]:
             if bigger not in found:
                 found.add(bigger)
                 frontier.append(bigger)
-    return sorted(found, key=lambda h: (len(h), h.elements))
+    return tuple(sorted(found, key=lambda h: (len(h), h.elements)))
 
 
 def complements(u: UnitSubgroup) -> list[UnitSubgroup]:
-    """All V with U∩V = {1} and UV = (Z/dZ)^x."""
-    d = u.modulus
-    order = phi(d)
-    out = []
-    for v in unit_subgroups(d):
-        if len(u) * len(v) != order:
-            continue
-        if set(u.elements) & set(v.elements) != {1}:
-            continue
-        prod = {(a * b) % d for a in u.elements for b in v.elements}
-        if len(prod) == order:
-            out.append(v)
-    return out
+    """All V with U∩V = {1} and UV = (Z/dZ)^x.  The group is abelian, so
+    |UV| = |U||V| / |U∩V|, and the first condition with |U||V| = phi(d)
+    gives the second."""
+    order, own = phi(u.modulus), set(u.elements)
+    subgroups = unit_subgroups(u.modulus)
+    return [v for v in subgroups if len(u) * len(v) == order and own & set(v.elements) == {1}]
 
 
 def difference_multiset(v: Iterable[int], d: int) -> Counter:

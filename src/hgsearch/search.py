@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .criteria import bm, bm_published, find_c, is_regular
-from .params import HgParam, canonical_form, validate
+from .params import MAX_D, MAX_N, HgParam, canonical_form, validate
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,10 @@ class SearchSpec:
     def __post_init__(self):
         if sum(self.partition) != self.n:
             raise ValueError("partition does not sum to n")
+        if self.n > MAX_N:
+            raise ValueError(f"n = {self.n} is above the cap {MAX_N}")
+        if self.d_max > MAX_D:
+            raise ValueError(f"d_max = {self.d_max} is above the cap {MAX_D}")
         if tuple(sorted(self.partition, reverse=True)) != tuple(self.partition):
             raise ValueError("partition must be non-increasing")
         # Published-mode (D) solves on a fixed pivot basis and is not

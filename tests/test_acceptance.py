@@ -285,9 +285,7 @@ def test_acceptance_7_property_suites():
     for d, ell in ((3, 7), (3, 31), (5, 11), (5, 31), (3, 13)):
         ctx = PrimeFieldCtx(d, ell)
         for m in (1, 2, 3):
-            for a_vec in itertools.product(range(d), repeat=m):
-                if not any(a_vec):
-                    continue
+            for a_vec in itertools.product(range(1, d), repeat=m):
                 if jacobi(ctx, list(a_vec)) != jacobi_direct(ctx, list(a_vec)):
                     checks.append(("jacobi", d, ell, a_vec))
 

@@ -119,6 +119,28 @@ def test_verify_ode_order_above_the_cap(capsys):
     assert "bad ode check" in err and str(MAX_ORDER) in err
 
 
+def test_check_d_above_the_cap(capsys):
+    from hgsearch.params import MAX_D
+
+    d = MAX_D + 1
+    # a valid n=2 parameter: -(1 + x) = C(d,2) mod d
+    param = f"d={d};a=0,0;b=1,{(-1 - d * (d - 1) // 2) % d}"
+    assert main(["check", "--param", param]) == 2
+    err = capsys.readouterr().err
+    assert "bad check" in err and str(MAX_D) in err
+
+
+@pytest.mark.parametrize("which", ["n", "d_max"])
+def test_search_above_the_caps(capsys, which):
+    from hgsearch.params import MAX_D, MAX_N
+
+    n, d_max = (MAX_N + 1, 20) if which == "n" else (3, MAX_D + 1)
+    args = ["search", "--n", str(n), "--partition", str(n), "--d-max", str(d_max)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "bad search spec" in err and str(MAX_N if which == "n" else MAX_D) in err
+
+
 def test_verify_jacobi_prec_above_the_cap(capsys):
     from hgsearch.jacobi import MAX_PREC
 

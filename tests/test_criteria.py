@@ -32,7 +32,7 @@ from hgsearch.criteria import (
 )
 from hgsearch.intlattice import NoSolution
 from hgsearch.params import HgParam, parse, scale, validate
-from hgsearch.residues import UnitSubgroup, gap_masks, units
+from hgsearch.residues import UnitSubgroup, complements, gap_masks, unit_subgroups, units
 from hgsearch.search import _candidate_params, enumerate_alphas
 
 P9 = parse("d=9;a=0,0,0;b=1,2,6")
@@ -231,6 +231,60 @@ def test_bm_finite():
     # subgroup not containing the stabilizer fails
     v = UnitSubgroup(9, [1, 4, 7])
     assert not bm_finite(P9, v)
+
+
+def _reference_minimal_subgroup(p):
+    # the scan minimal_admissible_subgroup replaced: keep the first
+    # admissible subgroup of least order
+    s = scaling_stabilizer(p)
+    best = None
+    for u in unit_subgroups(p.d):
+        if not s.issubset(u) or not complements(u):
+            continue
+        if best is None or len(u.elements) < len(best.elements):
+            best = u
+    return best
+
+
+def test_minimal_admissible_subgroup_matches_least_order_scan():
+    rng = random.Random(13)
+    checked = 0
+    while checked < 300:
+        d = rng.randint(3, 60)
+        n = rng.randint(1, min(6, d - 1))
+        betas = rng.sample(range(d), n)
+        head = [rng.randrange(d) for _ in range(n - 1)]
+        last = (d * (d - 1) // 2 + sum(betas) - sum(head)) % d
+        if last in betas or set(head) & set(betas):
+            continue
+        p = parse(f"d={d};a={','.join(map(str, head + [last]))};b={','.join(map(str, betas))}")
+        want = _reference_minimal_subgroup(p)
+        assert minimal_admissible_subgroup(p) == want, p.literal()
+        stab = scaling_stabilizer(p)
+        for u in unit_subgroups(d):
+            assert bm_finite(p, u) == (stab.issubset(u) and bool(complements(u))), (p.literal(), u)
+        checked += 1
+
+
+def test_full_report_enumerates_the_subgroups_once(monkeypatch):
+    from hgsearch import residues
+
+    calls = []
+    real = residues.closure
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(residues, "closure", counted)
+    residues.unit_subgroups.cache_clear()
+    residues.unit_subgroups(60)
+    once = len(calls)
+    residues.unit_subgroups.cache_clear()
+    calls.clear()
+    rep = full_report(parse("d=60;a=0,0,0,6;b=9,12,27,48"))
+    assert rep.minimal_u == [1, 19, 41, 59]
+    assert len(calls) == once > 0
 
 
 def test_mean_bracket_constant_exhaustive():
@@ -485,10 +539,17 @@ def _reference_det_condition(p, c, published):
     )
 
 
-def _reference_find_c(p, published):
-    from hgsearch.criteria import _c_candidates
+def _ordered_triples(d):
+    # (0,0,0), then every ordered all-nonzero triple with sum 0 mod d, in
+    # (c1, c2) order: every ordering of each multiset
+    yield (0, 0, 0)
+    for c1, c2 in itertools.product(range(1, d), repeat=2):
+        if (c1 + c2) % d:
+            yield (c1, c2, (-c1 - c2) % d)
 
-    return next((c for c in _c_candidates(p.d) if _reference_det_condition(p, c, published)), None)
+
+def _reference_find_c(p, published):
+    return next((c for c in _ordered_triples(p.d) if _reference_det_condition(p, c, published)), None)
 
 
 def _regular_pool():
@@ -514,12 +575,10 @@ def test_find_c_matches_lexicographic_scan():
 
 
 def test_det_condition_matches_double_sum_reference():
-    from hgsearch.criteria import _c_candidates
-
     rng = random.Random(11)
     outcomes = {True: set(), False: set()}
     for p in rng.sample(_regular_pool(), 12) + [P9, P18]:
-        cs = list(_c_candidates(p.d))
+        cs = list(_ordered_triples(p.d))
         for c in rng.sample(cs, min(len(cs), 15)) + [find_c(p, True), find_c(p, False)]:
             if c is None:
                 continue

@@ -5,6 +5,7 @@ import pytest
 from hgsearch.cyclo import CycNum, root_of_unity
 from hgsearch.jacobi import (
     PrimeFieldCtx,
+    ZeroVector,
     hodge_newton_check,
     jacobi,
     jacobi2,
@@ -67,9 +68,7 @@ def test_chain_matches_direct_exhaustive_small():
     for d, ell in ((3, 7), (5, 11), (3, 31)):
         ctx = PrimeFieldCtx(d, ell)
         for m in (2, 3):
-            for a_vec in itertools.product(range(d), repeat=m):
-                if not any(a_vec):
-                    continue  # the all-zero vector is rejected by contract
+            for a_vec in itertools.product(range(1, d), repeat=m):
                 want = jacobi_direct(ctx, list(a_vec))
                 got = jacobi(ctx, list(a_vec))
                 assert got == want, (d, ell, a_vec)
@@ -79,10 +78,17 @@ def test_chain_matches_direct_degenerate_totals():
     # vectors whose total is 0 mod d exercise the degenerate chain steps
     for d, ell in ((3, 7), (4, 5), (6, 7)):
         ctx = PrimeFieldCtx(d, ell)
-        for a_vec in itertools.product(range(d), repeat=3):
-            if sum(a_vec) % d != 0 or not any(a_vec):
+        for a_vec in itertools.product(range(1, d), repeat=3):
+            if sum(a_vec) % d != 0:
                 continue
             assert jacobi(ctx, list(a_vec)) == jacobi_direct(ctx, list(a_vec))
+
+
+def test_jacobi_rejects_a_zero_component():
+    ctx = PrimeFieldCtx(3, 7)
+    for a_vec in ([0, 0], [1, 0], [0, 2, 1], [3, 1, 2]):
+        with pytest.raises(ZeroVector):
+            jacobi(ctx, a_vec)
 
 
 def test_motive_valuations_match_hodge():

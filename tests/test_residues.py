@@ -93,6 +93,30 @@ def test_complements():
         assert len(u) * len(v) == 6
 
 
+def _reference_complements(u):
+    # with the product-set test that complements() leaves to |UV| = |U||V|/|U∩V|
+    d, order = u.modulus, phi(u.modulus)
+    out = []
+    for v in unit_subgroups(d):
+        if len(u) * len(v) != order or set(u.elements) & set(v.elements) != {1}:
+            continue
+        if len({a * b % d for a in u.elements for b in v.elements}) == order:
+            out.append(v)
+    return out
+
+
+def test_complements_match_product_set_reference():
+    found = 0
+    for d in range(3, 61):
+        for u in unit_subgroups(d):
+            comps = complements(u)
+            assert comps == _reference_complements(u), (d, u)
+            found += bool(comps)
+    # both outcomes occur: {1, 9} mod 16 has none, since every subgroup of
+    # order 4 holds 9, the square of 3, 5, 11 and 13
+    assert 0 < found < sum(len(unit_subgroups(d)) for d in range(3, 61))
+
+
 def test_difference_multiset():
     dm = difference_multiset([1, 2, 6], 9)
     assert sum(dm.values()) == 9
