@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .intlattice import NoSolution, SmithForm, kernel_basis, smith_form, solve_lattice
+from .intlattice import SmithForm, kernel_basis, smith_form, solve_lattice
 from .params import MAX_D, HgParam
 from .residues import (
     UnitSubgroup,
@@ -97,24 +97,22 @@ def pseudoreflection_det(d: int) -> int:
     return 1 if d % 2 == 1 else -1
 
 
-def _translated(vals: Sequence[int], s: int, d: int) -> Counter:
-    return Counter((v + s) % d for v in vals)
-
-
-def _negated(vals: Sequence[int], s: int, d: int) -> Counter:
-    return Counter((-v - s) % d for v in vals)
+def _moved(vals: Sequence[int], sign: int, s: int, d: int) -> Tuple[int, ...]:
+    """The multiset {sign v + s mod d}, as a sorted tuple like the alphas
+    and betas of a parameter."""
+    return tuple(sorted((sign * v + s) % d for v in vals))
 
 
 def _bm_shared(p: HgParam) -> Optional[int]:
     """Bullet 1 or 3 of bm, whichever fails first, or None: the bullets
-    that bm and bm_published share."""
-    d = p.d
-    if len(set(p.alphas)) >= p.n:
+    that bm and bm_published share.  A translation s fixing the betas
+    moves b_0 onto some other b_j, so s = b_j - b_0 with j > 0; the betas
+    are distinct and reject sooner, so they are tested first."""
+    d, a, b = p.d, p.alphas, p.betas
+    if len(set(a)) >= p.n:
         return 1
-    ca, cb = Counter(p.alphas), Counter(p.betas)
-    for s in range(1, d):
-        if _translated(p.alphas, s, d) == ca and _translated(p.betas, s, d) == cb:
-            return 3
+    if any(_moved(b, 1, bj - b[0], d) == b and _moved(a, 1, bj - b[0], d) == a for bj in b[1:]):
+        return 3
     return None
 
 
@@ -123,20 +121,17 @@ def bm(p: HgParam) -> Tuple[bool, Optional[int]]:
 
     Bullets: (1) some alpha value repeats; (2) beta is not an arithmetic
     progression; (3) no nonzero translation fixes both multisets; (4) no s,
-    including 0, with {-a-s} = {a+s} and {-b-s} = {b+s}.
+    including 0, with {-a-s} = {a+s} and {-b-s} = {b+s}, that is, with
+    {-a-2s} = {a} and {-b-2s} = {b}.
     """
-    d = p.d
+    d, a, b = p.d, p.alphas, p.betas
     shared = _bm_shared(p)
-    if shared != 1 and is_cyclic_ap(p.betas, d):
+    if shared != 1 and is_cyclic_ap(b, d):
         return False, 2
     if shared is not None:
         return False, shared
-    for s in range(d):
-        if (
-            _negated(p.alphas, s, d) == _translated(p.alphas, s, d)
-            and _negated(p.betas, s, d) == _translated(p.betas, s, d)
-        ):
-            return False, 4
+    if any(_moved(b, -1, -2 * s, d) == b and _moved(a, -1, -2 * s, d) == a for s in range(d)):
+        return False, 4
     return True, None
 
 
@@ -234,9 +229,10 @@ def _solve_transform(d: int):
     M_piv of pivot columns over the d-1 points.
 
     Pivots are taken greedily in listed order: a column is a pivot when it
-    lies outside the rational span of the pivots before it.  U is
-    unimodular, so its rows past the rank span the rational left kernel of
-    M_piv, and a column lies in the span exactly when they all vanish on it.
+    lies outside the rational span of the pivots before it, which one
+    fraction-free elimination against the echelon rows of the earlier
+    pivots decides.  U is unimodular, so its rows past the rank span the
+    rational left kernel of M_piv.
 
     Returns (idx, cols, piv, t, den) with den = lcm(D).  The first len(piv)
     rows of t are den V D^-1 U[:r], which give den times the pivot
@@ -249,14 +245,21 @@ def _solve_transform(d: int):
     lattice.
     """
     idx, cols = _e_columns(d)
-    rows = d - 1
     piv: List[int] = []
-    left = [[int(i == k) for k in range(rows)] for i in range(rows)]
+    echelon: List[Tuple[int, List[int]]] = []  # (leading index, row), one per pivot
     for j, col in enumerate(cols):
-        if any(sum(a * b for a, b in zip(row, col)) for row in left):
+        v = list(col)
+        for lead, row in echelon:
+            if v[lead]:
+                a, b = row[lead], v[lead]
+                v = [a * x - b * y for x, y in zip(v, row)]
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is not None:
+            g = math.gcd(*v)
+            echelon.append((lead, [x // g for x in v]))
             piv.append(j)
-            sf = smith_form(_matrix([cols[k] for k in piv], rows))
-            left = sf.u[sf.rank :]
+    sf = smith_form(_matrix([cols[k] for k in piv], d - 1))
+    left = sf.u[sf.rank :]
     den = math.lcm(*sf.diag)
     scaled = [[den // dq * x for x in row] for dq, row in zip(sf.diag, sf.u)]
     t = [[sum(a * b for a, b in zip(vrow, col)) for col in zip(*scaled)] for vrow in sf.v]
@@ -342,15 +345,11 @@ def _kernel_image_group(d: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(sorted(group))
 
 
-@lru_cache(maxsize=None)
 def _good_coset(d: int, n: int, image: Tuple[int, ...], published: bool) -> bool:
     """Whether some solution whose gamma_exponents image lies in image plus
     the kernel image group meets the coprimality conditions of clause (iv).
     The published reading tests only the solution on the pivot basis, that
-    is, only the zero shift; the strict one scans the whole coset.
-
-    The images lie in Z/4d x (Z/2d)^m, so for each (d, n) there are
-    finitely many keys."""
+    is, only the zero shift; the strict one scans the whole coset."""
     primes = prime_divisors(d)
     for shift in [(0,) * len(image)] if published else _kernel_image_group(d):
         y1, *yps = (y + z for y, z in zip(image, shift))
@@ -360,6 +359,83 @@ def _good_coset(d: int, n: int, image: Tuple[int, ...], published: bool) -> bool
         ):
             return True
     return False
+
+
+@dataclass
+class _StrictPlan:
+    """The strict clause-(iv) solve at modulus d, from the Smith form
+    U M V = D of the epsilon matrix M (_e_lattice).
+
+    M x = f has an integer solution exactly when y = U f vanishes past the
+    rank r and D_i divides y_i below it.  Then x = V[:, :r] (y_i / D_i) is
+    one, and its gamma image is w (y_i / D_i) reduced mod the moduli
+    (4d, 2d, ...), with w = Gamma V[:, :r] for the linear map Gamma that
+    gamma_exponents applies.  The verdict depends only on the image's coset
+    h + K modulo the kernel image group K.  The Smith form Uq A Vq of
+    A = [images of the kernel basis | 4d e_0, 2d e_1, ...] keys it: h and
+    h' lie in one coset exactly when Uq h = Uq h' mod each diagonal entry
+    of the form, and the entries equal to 1 are dropped.
+    """
+
+    d: int
+    u: Tuple[Tuple[int, ...], ...]
+    u_delta: Tuple[Tuple[int, ...], ...]  # U delta_x at index x, zero at 0
+    diag: Tuple[int, ...]
+    w: Tuple[Tuple[int, ...], ...]
+    mods: Tuple[int, ...]
+    quotient: Tuple[Tuple[int, ...], ...]  # the kept rows of Uq
+    key_mods: Tuple[int, ...]
+    verdicts: Dict[Tuple[int, Tuple[int, ...]], bool] = field(default_factory=dict)  # by (n, key)
+
+
+@lru_cache(maxsize=None)
+def _strict_plan(d: int) -> _StrictPlan:
+    idx, sf, _ = _e_lattice(d)
+    mods = (4 * d,) + (2 * d,) * len(prime_divisors(d))
+    # the columns of V past the rank are the kernel basis
+    images = [gamma_exponents(dict(zip(idx, col)), d) for col in zip(*sf.v)]
+    gens = images[sf.rank :] + [tuple(m * (i == j) for i in range(len(mods))) for j, m in enumerate(mods)]
+    q = smith_form(_matrix(gens, len(mods)))
+    keep = [i for i, dq in enumerate(q.diag) if dq > 1]
+    return _StrictPlan(
+        d=d,
+        u=tuple(map(tuple, sf.u)),
+        u_delta=((0,) * (d - 1),) + tuple(zip(*sf.u)),
+        diag=tuple(sf.diag),
+        w=tuple(zip(*images[: sf.rank])),
+        mods=mods,
+        quotient=tuple(tuple(q.u[i]) for i in keep),
+        key_mods=tuple(q.diag[i] for i in keep),
+    )
+
+
+def _strict_image(plan: _StrictPlan, y: Sequence[int]) -> Optional[Tuple[int, ...]]:
+    """The gamma image of an integer solution of M x = f, given y = U f, or
+    None when there is none."""
+    if any(y[len(plan.diag) :]):
+        return None
+    z = []
+    for yi, di in zip(y, plan.diag):
+        q, rem = divmod(yi, di)
+        if rem:
+            return None
+        z.append(q)
+    return tuple(sum(a * b for a, b in zip(row, z)) % m for row, m in zip(plan.w, plan.mods))
+
+
+def _coset_key(plan: _StrictPlan, image: Tuple[int, ...]) -> Tuple[int, ...]:
+    return tuple(sum(a * b for a, b in zip(row, image)) % m for row, m in zip(plan.quotient, plan.key_mods))
+
+
+def _coset_verdict(plan: _StrictPlan, n: int, image: Tuple[int, ...]) -> bool:
+    """Strict clause (iv): whether some point of image + K meets the
+    coprimality conditions.  One verdict per (n, coset), from a scan of the
+    coset the first time it is seen."""
+    key = (n, _coset_key(plan, image))
+    verdict = plan.verdicts.get(key)
+    if verdict is None:
+        verdict = plan.verdicts[key] = _good_coset(plan.d, n, image, False)
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +449,10 @@ def _bracket_sum(c: Sequence[int], s: int, d: int) -> int:
 def _clause_iv(p: HgParam, f: Tuple[int, ...], published: bool) -> bool:
     if published:
         coeffs = solve_in_E_basis(f)
-        if coeffs is None:
-            return False
-    else:
-        try:
-            coeffs = solve_in_E(f)
-        except NoSolution:
-            return False
-    return _good_coset(p.d, p.n, gamma_exponents(coeffs, p.d), published)
+        return coeffs is not None and _good_coset(p.d, p.n, gamma_exponents(coeffs, p.d), True)
+    plan = _strict_plan(p.d)
+    image = _strict_image(plan, [sum(a * b for a, b in zip(row, f)) for row in plan.u])
+    return image is not None and _coset_verdict(plan, p.n, image)
 
 
 def det_condition(p: HgParam, c: Tuple[int, int, int], published: bool = True) -> bool:
@@ -441,13 +513,23 @@ def find_c(p: HgParam, published: bool = True) -> Optional[Tuple[int, int, int]]
 
     w(s) is constant over the units exactly when the profile of c equals
     (P(u_0) - P(s))_s (see det_condition); only the triples with that
-    profile are tested with clause (iv)."""
+    profile are tested with clause (iv).  In strict mode f(c) is
+    f(0,0,0) + n (delta_c1 + delta_c2 + delta_c3), so U f(c) costs three
+    column additions once U f(0,0,0) is known."""
     if not is_regular(p):
         return None
-    d, pairing = p.d, [b - a for a, b in zip(p.alphas, p.betas)]
+    d, n, pairing = p.d, p.n, [b - a for a, b in zip(p.alphas, p.betas)]
     sums = [_bracket_sum(pairing, s, d) for s in units(d)]
-    for c in _c_index(d).get(tuple(sums[0] - x for x in sums), ()):
-        if _clause_iv(p, build_f(p, c), published):
+    cs = _c_index(d).get(tuple(sums[0] - x for x in sums), ())
+    if published:
+        return next((c for c in cs if _clause_iv(p, build_f(p, c), True)), None)
+    plan = _strict_plan(d)
+    f0 = build_f(p, (0, 0, 0))
+    y0 = [sum(a * b for a, b in zip(row, f0)) for row in plan.u]
+    for c in cs:
+        cols = [plan.u_delta[x] for x in c]
+        image = _strict_image(plan, [a + n * (b1 + b2 + b3) for a, b1, b2, b3 in zip(y0, *cols)])
+        if image is not None and _coset_verdict(plan, n, image):
             return c
     return None
 

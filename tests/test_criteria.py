@@ -30,9 +30,18 @@ from hgsearch.criteria import (
     solve_in_E,
     solve_in_E_basis,
 )
-from hgsearch.intlattice import NoSolution
+from hgsearch.intlattice import NoSolution, smith_form
 from hgsearch.params import HgParam, parse, scale, validate
-from hgsearch.residues import UnitSubgroup, complements, gap_masks, unit_subgroups, units
+from hgsearch.residues import (
+    UnitSubgroup,
+    complements,
+    gap_masks,
+    is_cyclic_ap,
+    phi,
+    prime_divisors,
+    unit_subgroups,
+    units,
+)
 from hgsearch.search import _candidate_params, enumerate_alphas
 
 P9 = parse("d=9;a=0,0,0;b=1,2,6")
@@ -392,6 +401,36 @@ def test_solve_transform_pivots_match_greedy_reference():
         assert _solve_transform(d)[2] == _reference_pivots(d), d
 
 
+def _reference_solve_transform(d):
+    """_solve_transform as it was built with one Smith form per pivot: a
+    column is a pivot when the left-kernel rows of the pivots before it do
+    not all vanish on it."""
+    from hgsearch.criteria import _e_columns
+
+    idx, cols = _e_columns(d)
+    rows = d - 1
+    piv = []
+    left = [[int(i == k) for k in range(rows)] for i in range(rows)]
+    for j, col in enumerate(cols):
+        if any(sum(a * b for a, b in zip(row, col)) for row in left):
+            piv.append(j)
+            sf = smith_form([[cols[k][i] for k in piv] for i in range(rows)])
+            left = sf.u[sf.rank :]
+    den = math.lcm(*sf.diag)
+    scaled = [[den // dq * x for x in row] for dq, row in zip(sf.diag, sf.u)]
+    t = [[sum(a * b for a, b in zip(vrow, col)) for col in zip(*scaled)] for vrow in sf.v]
+    return idx, cols, tuple(piv), tuple(map(tuple, t + left)), den
+
+
+def test_solve_transform_matches_smith_per_pivot_loop():
+    # one elimination picks the pivots and one Smith form of the final pivot
+    # matrix gives the transform: the same tuple as a Smith form per pivot
+    from hgsearch.criteria import _solve_transform
+
+    for d in [*range(3, 49), 60]:
+        assert _solve_transform(d) == _reference_solve_transform(d), d
+
+
 def _reference_solve(f):
     """Fraction Gauss-Jordan on [M_piv | f]: the rational solution on the
     greedy pivot basis, or None when f is outside the span."""
@@ -487,23 +526,31 @@ def test_solve_in_E_basis_property(d, data):
 def test_solve_in_E_matches_reference_and_basis_solve():
     # strict mode's solve over the whole integer lattice: any solution it
     # returns re-expands to f, it fails wherever f is outside the rational
-    # span, and it solves wherever the pivot-basis solve does
+    # span, and it solves wherever the pivot-basis solve does.  The strict
+    # plan finds a solution from U f exactly when it does, and gives the
+    # gamma image of that same solution.
+    from hgsearch.criteria import _strict_image, _strict_plan
+
     rng = random.Random(21)
-    seen = {"solved": 0, "no solution": 0}
+    seen = Counter()
     for d in range(3, 31):
+        plan = _strict_plan(d)
         for values in _solver_cases(d, rng):
             f = tuple(values)
+            image = _strict_image(plan, [sum(a * b for a, b in zip(row, f)) for row in plan.u])
             try:
                 x = solve_in_E(f)
             except NoSolution:
                 assert solve_in_E_basis(f) is None, (d, values)
-                seen["no solution"] += 1
+                assert image is None, (d, values)
+                seen["outside the span" if _reference_solve(f) is None else "non-integral"] += 1
                 continue
             assert _reference_solve(f) is not None, (d, values)
             assert list(x) == e_basis_index(d)
             assert _combine(d, x) == f, (d, values)
+            assert image == gamma_exponents(x, d), (d, values)
             seen["solved"] += 1
-    assert all(seen.values()), seen
+    assert len(seen) == 3, seen
 
 
 # References for (D) from the definitions, by direct double sums over the
@@ -528,15 +575,67 @@ def _reference_w(p, c, s):
     )
 
 
-def _reference_det_condition(p, c, published):
-    from hgsearch.criteria import _clause_iv
-
-    return (
-        _reference_is_regular(p)
-        and _reference_clause_iii(p)
-        and len({_reference_w(p, c, s) for s in units(p.d)}) == 1
-        and _clause_iv(p, build_f(p, c), published)
+def _reference_coprime(y1, yps, d, n):
+    """The coprimality conditions of clause (iv) on Fraction y-values."""
+    bps = [
+        (2 * y).denominator if d % 4 == 0 or pp % 4 == 1 else y.denominator
+        for y, pp in zip(yps, prime_divisors(d))
+    ]
+    return all(math.gcd(b, n) == 1 for b in bps) and (
+        math.gcd(phi(math.lcm(2 * y1.denominator, d)) // phi(d), n) == 1
     )
+
+
+def _reference_y(coeffs, d):
+    """y1 and the y_p of a coefficient vector, unreduced Fractions."""
+    y1 = sum(
+        co * Fraction(a, d) if k == 1 else co * (Fraction(a * k, d) + Fraction(k - 1, 4))
+        for (k, a), co in coeffs.items()
+    )
+    yps = [
+        sum(co * (Fraction(1, 2) - Fraction(a, d)) for (k, a), co in coeffs.items() if k == pp)
+        for pp in prime_divisors(d)
+    ]
+    return Fraction(y1), [Fraction(y) for y in yps]
+
+
+def _reference_coset_good(coeffs, d, n):
+    """Some shift of the solution's y-values by the kernel image group
+    passes the coprimality conditions."""
+    from hgsearch.criteria import _kernel_image_group
+
+    y1, yps = _reference_y(coeffs, d)
+    return any(
+        _reference_coprime(
+            y1 + Fraction(z[0], 4 * d), [y + Fraction(w, 2 * d) for y, w in zip(yps, z[1:])], d, n
+        )
+        for z in _kernel_image_group(d)
+    )
+
+
+def _reference_clause_iv(p, f, published):
+    """Clause (iv) through the two plain solves: the published reading on
+    the pivot-basis solution, the strict one on the coset of the lattice
+    solution."""
+    if published:
+        coeffs = solve_in_E_basis(f)
+        return coeffs is not None and _reference_coprime(*_reference_y(coeffs, p.d), p.d, p.n)
+    try:
+        coeffs = solve_in_E(f)
+    except NoSolution:
+        return False
+    return _reference_coset_good(coeffs, p.d, p.n)
+
+
+def _reference_c_passes(p, c, published):
+    """The clauses of (D) that depend on c: w constant, and clause (iv)."""
+    return len({_reference_w(p, c, s) for s in units(p.d)}) == 1 and _reference_clause_iv(
+        p, build_f(p, c), published
+    )
+
+
+def _reference_det_condition(p, c, published):
+    return _reference_is_regular(p) and _reference_clause_iii(p) and _reference_c_passes(p, c, published)
 
 
 def _ordered_triples(d):
@@ -549,7 +648,9 @@ def _ordered_triples(d):
 
 
 def _reference_find_c(p, published):
-    return next((c for c in _ordered_triples(p.d) if _reference_det_condition(p, c, published)), None)
+    if not (_reference_is_regular(p) and _reference_clause_iii(p)):
+        return None
+    return next((c for c in _ordered_triples(p.d) if _reference_c_passes(p, c, published)), None)
 
 
 def _regular_pool():
@@ -618,6 +719,55 @@ def test_pairing_sum_matches_double_sum_reference():
     assert seen == {True, False}, seen
 
 
+# alpha shapes with regular n=4 candidates, for every d in 25..36 that has
+# any (none of 25, 29, 31 and 35 has), both partitions and both outcomes
+# of strict (D)
+_SHAPES_PAST_24 = (
+    (26, (0, 0, 0, 1)),
+    (27, (0, 0, 1, 1)),
+    (28, (0, 0, 0, 2)),
+    (28, (0, 0, 0, 4)),
+    (30, (0, 0, 0, 3)),
+    (30, (0, 0, 0, 5)),
+    (30, (0, 0, 5, 5)),
+    (32, (0, 0, 0, 2)),
+    (33, (0, 0, 2, 2)),
+    (34, (0, 0, 0, 1)),
+    (36, (0, 0, 0, 3)),
+    (36, (0, 0, 0, 6)),
+    (36, (0, 0, 6, 6)),
+)
+
+
+def test_strict_d_matches_reference_past_d24():
+    # the one-solve strict find_c and det_condition against the references,
+    # on moduli whose coset keys have up to four coordinates (d = 30)
+    rng = random.Random(25)
+    sample = []
+    for d, alphas in _SHAPES_PAST_24:
+        regular = [p for p in _candidate_params(d, alphas) if is_regular(p)]
+        sample += rng.sample(regular, min(len(regular), 2))
+    assert {p.d for p in sample} == {26, 27, 28, 30, 32, 33, 34, 36}
+    found = Counter()
+    for p in sample:
+        c = find_c(p, False)
+        assert c == _reference_find_c(p, False), p.literal()
+        found[c is not None] += 1
+        # triples with P(s) + S_c(s) constant, the ones clause (iv) decides
+        us = units(p.d)
+        pairing = [sum((s * (b - a)) % p.d for a, b in zip(p.alphas, p.betas)) for s in us]
+        cs = [
+            x
+            for x in _ordered_triples(p.d)
+            if len({ps + sum((s * xi) % p.d for xi in x) for ps, s in zip(pairing, us)}) == 1
+        ]
+        for x in rng.sample(cs, min(len(cs), 4)) + ([c] if c else []):
+            want = _reference_det_condition(p, x, False)
+            assert det_condition(p, x, False) == want, (p.literal(), x)
+            found["det", want] += 1
+    assert all(found[k] for k in (True, False, ("det", True), ("det", False))), found
+
+
 def test_strict_d_is_scaling_invariant():
     # strict (D) asks for some good solution in the whole lattice, so a
     # parameter passes exactly when each of its unit scalings does; checked
@@ -662,33 +812,40 @@ def test_hodge_degrees_match_double_sum_reference(p):
             assert hodge_degrees(p, s) == sorted(want)
 
 
+def test_coset_key_separates_cosets():
+    # key(h) == key(h') exactly when h - h' lies in the kernel image group K
+    from hgsearch.criteria import _coset_key, _kernel_image_group, _strict_plan
+
+    rng = random.Random(13)
+    seen = Counter()
+    for d in [*range(3, 25), 30, 36, 42]:
+        plan, group = _strict_plan(d), _kernel_image_group(d)
+        members = set(group)
+        # the key takes one value per coset of K in H
+        assert math.prod(plan.key_mods) * len(group) == math.prod(plan.mods), d
+
+        def draw():
+            return tuple(rng.randrange(m) for m in plan.mods)
+
+        def add(h, k, sign=1):
+            return tuple((x + sign * y) % m for x, y, m in zip(h, k, plan.mods))
+
+        for _ in range(100):
+            h = draw()
+            for other in (draw(), add(h, rng.choice(group)), add(h, add(rng.choice(group), draw()))):
+                same = add(h, other, -1) in members
+                assert (_coset_key(plan, h) == _coset_key(plan, other)) == same, (d, h, other)
+                seen[same] += 1
+    # h + k pairs give 2500 equal keys; equal keys from random pairs add more
+    assert seen[True] > 2500 and seen[False] > 4000, seen
+
+
 def test_coset_test_matches_direct_scan():
-    # Both readings of clause (iv) go through the one memoised coset test.
-    # The published one must match the conditions on the unreduced y-values
-    # of the given solution, the strict one the same conditions on every
-    # shift of that solution's image by the kernel image group.
-    from hgsearch.criteria import _good_coset, _kernel_image_group
-    from hgsearch.residues import phi, prime_divisors
-
-    def ok(y1, yps, d, n):
-        bps = [
-            (2 * y).denominator if d % 4 == 0 or pp % 4 == 1 else y.denominator
-            for y, pp in zip(yps, prime_divisors(d))
-        ]
-        return all(math.gcd(b, n) == 1 for b in bps) and (
-            math.gcd(phi(math.lcm(2 * y1.denominator, d)) // phi(d), n) == 1
-        )
-
-    def unreduced(coeffs, d):
-        y1 = sum(
-            co * Fraction(a, d) if k == 1 else co * (Fraction(a * k, d) + Fraction(k - 1, 4))
-            for (k, a), co in coeffs.items()
-        )
-        yps = [
-            sum(co * (Fraction(1, 2) - Fraction(a, d)) for (k, a), co in coeffs.items() if k == pp)
-            for pp in prime_divisors(d)
-        ]
-        return Fraction(y1), [Fraction(y) for y in yps]
+    # The published reading must match the conditions on the unreduced
+    # y-values of the given solution.  The strict lookup, one verdict per
+    # coset key, must match the same conditions on every shift of that
+    # solution's image by the kernel image group.
+    from hgsearch.criteria import _coset_verdict, _good_coset, _strict_plan
 
     rng = random.Random(3)
     outcomes = {True: set(), False: set()}
@@ -696,25 +853,17 @@ def test_coset_test_matches_direct_scan():
         idx = e_basis_index(d)
         for _ in range(20):
             coeffs = {key: rng.randint(-6, 6) for key in rng.sample(idx, min(len(idx), 5))}
-            y1, yps = unreduced(coeffs, d)
+            y1, yps = _reference_y(coeffs, d)
             image = gamma_exponents(coeffs, d)
             assert image == tuple(
                 y % 1 * m for y, m in zip([y1] + yps, [4 * d] + [2 * d] * len(yps))
             ), (d, coeffs)
             for n in (3, 4, 6):
-                want = ok(y1, yps, d, n)
+                want = _reference_coprime(y1, yps, d, n)
                 assert _good_coset(d, n, image, True) == want, (d, n, coeffs)
                 outcomes[True].add(want)
-                want = any(
-                    ok(
-                        y1 + Fraction(z[0], 4 * d),
-                        [y + Fraction(w, 2 * d) for y, w in zip(yps, z[1:])],
-                        d,
-                        n,
-                    )
-                    for z in _kernel_image_group(d)
-                )
-                assert _good_coset(d, n, image, False) == want, (d, n, coeffs)
+                want = _reference_coset_good(coeffs, d, n)
+                assert _coset_verdict(_strict_plan(d), n, image) == want, (d, n, coeffs)
                 outcomes[False].add(want)
     assert outcomes == {True: {True, False}, False: {True, False}}
 
@@ -737,6 +886,58 @@ def _reference_bm_failures(p):
         ),
     }
     return [k for k in (1, 2, 3, 4) if failing[k]]
+
+
+def _counter_bm(p):
+    """(bm(p), bullet 1 or 3 result) as computed with Counters over every
+    shift: the reference for the sorted-tuple shift tests."""
+    d = p.d
+
+    def moved(vals, sign, s):
+        return Counter((sign * v + s) % d for v in vals)
+
+    shared = None
+    if len(set(p.alphas)) >= p.n:
+        shared = 1
+    else:
+        ca, cb = Counter(p.alphas), Counter(p.betas)
+        if any(moved(p.alphas, 1, s) == ca and moved(p.betas, 1, s) == cb for s in range(1, d)):
+            shared = 3
+    if shared != 1 and is_cyclic_ap(p.betas, d):
+        return (False, 2), shared
+    if shared is not None:
+        return (False, shared), shared
+    for s in range(d):
+        if moved(p.alphas, -1, -s) == moved(p.alphas, 1, s) and moved(p.betas, -1, -s) == moved(
+            p.betas, 1, s
+        ):
+            return (False, 4), shared
+    return (True, None), shared
+
+
+def _partitions(n, top=None):
+    top = n if top is None else top
+    if n == 0:
+        yield ()
+    for k in range(min(n, top), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def test_bm_matches_counter_reference():
+    # every search candidate with n <= 5 and d <= 12
+    seen = Counter()
+    for n in range(2, 6):
+        for part in _partitions(n):
+            for d in range(n + 1, 13):
+                for alphas in enumerate_alphas(d, part):
+                    for p in _candidate_params(d, alphas):
+                        want, shared = _counter_bm(p)
+                        assert bm(p) == want, p.literal()
+                        assert bm_published(p) == (shared is None), p.literal()
+                        seen[want[1]] += 1
+                        seen["shared", shared] += 1
+    assert all(seen[k] for k in (None, 1, 2, 3, 4, ("shared", 3))), seen
 
 
 def test_bm_matches_reference_bullets():

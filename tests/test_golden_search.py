@@ -39,6 +39,12 @@ CASES = (
         "search", "--n", "4", "--partition", "3,1", "--d-min", "17", "--d-max", "20",
         "--strict-criteria",
     ],
+    # d=30 has three prime divisors, so its strict coset key has four
+    # coordinates
+    [
+        "search", "--n", "4", "--partition", "3,1", "--d-min", "25", "--d-max", "30",
+        "--strict-criteria",
+    ],
 )
 
 
