@@ -8,6 +8,11 @@ one integer reduction, and inv divides the product of the conjugates by
 the integer norm.  Fraction appears only where rationals enter or leave
 (the constructor, from_rational, coeffs).  No floating point anywhere:
 rank and determinant decisions must be exact.
+
+Matrices have one elimination, a forward pass that clears below each
+pivot only: rank counts the pivots, det is the product of the pivots
+times the sign of the row swaps, and inv runs the pass on [A | I] and
+finishes by back-substitution.
 """
 
 from __future__ import annotations
@@ -165,7 +170,8 @@ class CycNum:
         level = self.level
         x = _cyc(level, list(self.num), 1)
         prod = CycNum.one(level)
-        for k in _ring(level)[2]:
+        # a rational num is already an integer: P = 1 will do
+        for k in _ring(level)[2] if any(x.num[1:]) else ():
             conj = [0] * level
             for i, c in enumerate(x.num):
                 conj[i * k % level] += c
@@ -322,57 +328,70 @@ class CycMatrix:
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.entries for x in row)
 
-    def _eliminated(self) -> tuple[list[list[CycNum]], int, CycNum, bool]:
-        """Gaussian elimination; returns (echelon, rank, det_factor, swapped_odd)."""
-        m = [row[:] for row in self.entries]
-        rows, cols = self.rows, self.cols
-        rank = 0
-        det = CycNum.one(self.level)
-        sign = False
-        for col in range(cols):
-            piv = None
-            for r in range(rank, rows):
-                if not m[r][col].is_zero():
-                    piv = r
-                    break
-            if piv is None:
-                continue
-            if piv != rank:
-                m[rank], m[piv] = m[piv], m[rank]
-                sign = not sign
-            det = det * m[rank][col]
-            inv = m[rank][col].inv()
-            m[rank] = [x * inv for x in m[rank]]
-            for r in range(rows):
-                if r != rank and not m[r][col].is_zero():
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-            rank += 1
-        return m, rank, det, sign
-
     def rank(self) -> int:
-        return self._eliminated()[1]
+        return _forward([row[:] for row in self.entries], self.cols)[0]
 
     def det(self) -> CycNum:
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        _, rank, det, sign = self._eliminated()
+        m = [row[:] for row in self.entries]
+        rank, sign = _forward(m, self.cols)
         if rank < self.rows:
             return CycNum.zero(self.level)
-        return -det if sign else det
+        det = CycNum.from_rational(self.level, sign)
+        for i in range(rank):
+            det = det * m[i][i]
+        return det
 
     def inv(self) -> "CycMatrix":
+        """Row i of the inverse is (R_i - sum_{j>i} U_ij X_j) / U_ii, where
+        [U | R] is [A | I] after the forward pass on A's columns."""
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
-        eye = CycMatrix.identity(self.level, n).entries
-        aug = CycMatrix(self.level, [row + eye[i] for i, row in enumerate(self.entries)])
-        ech, _, _, _ = aug._eliminated()
-        # the identity block keeps the rank at n; a singular left block
-        # leaves the last row's left half zero
-        if n and ech[n - 1][n - 1].is_zero():
+        m = [row + e for row, e in zip(self.entries, CycMatrix.identity(self.level, n).entries)]
+        if _forward(m, n)[0] < n:
             raise ZeroDivisionError("singular matrix")
-        return CycMatrix(self.level, [row[n:] for row in ech])
+        out: list[list[CycNum]] = []  # rows i+1 .. n-1 of the inverse
+        for i in range(n - 1, -1, -1):
+            row = m[i][n:]
+            for u, xj in zip(m[i][i + 1 : n], out):
+                if not u.is_zero():
+                    row = [x - u * y for x, y in zip(row, xj)]
+            inv = m[i][i].inv()
+            out.insert(0, [x * inv for x in row])
+        return CycMatrix(self.level, out)
+
+
+def _forward(m: list[list[CycNum]], cols: int) -> tuple[int, int]:
+    """Forward elimination in place on the first cols columns of the rows m;
+    returns (rank, sign of the row swaps).  A rational pivot is preferred,
+    as its inverse is cheap; it is inverted only if a row below needs
+    clearing, and such a row changes only right of the pivot column."""
+    rows = len(m)
+    rank, sign = 0, 1
+    for col in range(cols):
+        nonzero = [r for r in range(rank, rows) if not m[r][col].is_zero()]
+        if not nonzero:
+            continue
+        piv = next((r for r in nonzero if not any(m[r][col].num[1:])), nonzero[0])
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        prow = m[rank]
+        rank += 1
+        below = [r for r in range(rank, rows) if not m[r][col].is_zero()]
+        if below:
+            inv = prow[col].inv()
+            right = [c for c in range(col + 1, len(prow)) if not prow[c].is_zero()]
+            zero = CycNum.zero(prow[col].level)
+            for r in below:
+                row = m[r]
+                f = row[col] * inv
+                row[col] = zero
+                for c in right:
+                    row[c] = row[c] - f * prow[c]
+    return rank, sign
 
 
 class NotUnipotent(Exception):
@@ -380,19 +399,14 @@ class NotUnipotent(Exception):
 
 
 def unipotent_block_sizes(m: CycMatrix) -> list[int]:
-    """Jordan block sizes of a unipotent matrix from the rank sequence of
-    powers of (M - I): #blocks of size >= k is rank((M-I)^(k-1)) - rank((M-I)^k)."""
+    """Jordan block sizes of a unipotent matrix, largest first, from r_k =
+    rank((M-I)^k): there are r_(k-1) - 2 r_k + r_(k+1) blocks of size k."""
     n = m.rows
-    nil = m - CycMatrix.identity(m.level, n)
-    powers = [CycMatrix.identity(m.level, n), nil]
+    powers = [m - CycMatrix.identity(m.level, n)]
     for _ in range(n - 1):
-        powers.append(powers[-1] * nil)
-    if not powers[n].is_zero():
+        powers.append(powers[-1] * powers[0])
+    if not powers[-1].is_zero():
         raise NotUnipotent("(M - I)^n != 0")
-    ranks = [p.rank() for p in powers]
-    sizes: list[int] = []
-    for k in range(1, n + 1):
-        at_least_k = ranks[k - 1] - ranks[k]
-        at_least_k1 = ranks[k] - ranks[k + 1] if k < n else 0
-        sizes.extend([k] * (at_least_k - at_least_k1))
-    return sorted(sizes, reverse=True)
+    # r_0 = n and (M-I)^n = 0, so only the powers between are ranked
+    ranks = [n] + [p.rank() for p in powers[:-1]] + [0, 0]
+    return [k for k in range(n, 0, -1) for _ in range(ranks[k - 1] - 2 * ranks[k] + ranks[k + 1])]

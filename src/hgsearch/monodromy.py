@@ -6,6 +6,7 @@ via the coefficient recurrence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -55,19 +56,14 @@ def _levelt(p: HgParam) -> tuple[LeveltPair, CycMatrix]:
 
 
 def _char_poly_check(m: CycMatrix, exponents) -> bool:
-    # evaluate det(xI - M) at each claimed root; cheap and exact
+    # each claimed root z must make zI - M singular; exact
     n = m.rows
-    zero = CycNum.zero(m.level)
     for e in exponents:
         z = root_of_unity(m.level, e)
-        shifted = CycMatrix(
-            m.level,
-            [
-                [(z if i == j else zero) - m.entries[i][j] for j in range(n)]
-                for i in range(n)
-            ],
-        )
-        if not shifted.det().is_zero():
+        rows = [[-x for x in row] for row in m.entries]
+        for i in range(n):
+            rows[i][i] = rows[i][i] + z
+        if CycMatrix(m.level, rows).rank() == n:
             return False
     return True
 
@@ -123,17 +119,13 @@ def gj_coefficients(p: HgParam, j: int, big_k: int) -> TruncSeries:
     b1 = p.betas[0]
     bj = p.betas[j - 1]
     sh = bracket(bj - b1, d)
-    nums = [Fraction(d + bracket(a - b1, d) - sh, d) for a in p.alphas]
-    dens = [Fraction(d + bracket(b - b1, d) - sh, d) for b in p.betas]
-    coeffs = []
-    c = Fraction(1)
-    coeffs.append(c)
-    for k in range(1, big_k + 1):
-        for z in nums:
-            c *= z + (k - 1)
-        for z in dens:
-            c /= z + (k - 1)
-        coeffs.append(c)
+    # the Pochhammer arguments are A_i/d and B_i/d; d^n cancels in their ratio
+    nums = [d + bracket(a - b1, d) - sh for a in p.alphas]
+    dens = [d + bracket(b - b1, d) - sh for b in p.betas]
+    coeffs = [Fraction(1)]
+    for k in range(big_k):
+        ratio = Fraction(math.prod(z + d * k for z in nums), math.prod(z + d * k for z in dens))
+        coeffs.append(coeffs[-1] * ratio)
     return TruncSeries(exponent=bracket(b1 - bj, d), coeffs=tuple(coeffs))
 
 
@@ -154,15 +146,9 @@ def verify_annihilation(p: HgParam, j: int, big_k: int) -> bool:
     sb = [bracket(b - b1, d) for b in p.betas]
     sa = [bracket(a - b1, d) for a in p.alphas]
     for k in range(big_k + 1):
-        lhs = ser.coeffs[k]
-        for x in sb:
-            lhs *= e + d * k + x - d
-        if k == 0:
-            rhs = Fraction(0)
-        else:
-            rhs = ser.coeffs[k - 1]
-            for x in sa:
-                rhs *= e + d * (k - 1) + x
+        step = e + d * k
+        lhs = ser.coeffs[k] * math.prod(step + x - d for x in sb)
+        rhs = ser.coeffs[k - 1] * math.prod(step + x - d for x in sa) if k else 0
         if lhs != rhs:
             return False
     return True

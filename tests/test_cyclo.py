@@ -278,16 +278,22 @@ def test_equal_values_are_stored_alike(level, data):
         _assert_canonical(x * x.inv(), CycNum.one(level))
 
 
-def _matrix(data, level, n):
+def _matrix(data, level, n, cols=None):
+    """An n x cols matrix (square by default) with many zero entries, and
+    on a drawn flag a last row or a last column that is a multiple of the
+    first."""
+    cols = n if cols is None else cols
     zero = CycNum.zero(level)
     entry = st.one_of(st.just(None), st.lists(_rationals, max_size=4))
-    rows = [
-        [zero if cs is None else CycNum(level, cs) for cs in (data.draw(entry) for _ in range(n))]
-        for _ in range(n)
-    ]
+    drawn = [[data.draw(entry) for _ in range(cols)] for _ in range(n)]
+    rows = [[zero if cs is None else CycNum(level, cs) for cs in row] for row in drawn]
     if n > 1 and data.draw(st.booleans()):
         k = CycNum(level, data.draw(st.lists(_rationals, max_size=2)))
-        rows[-1] = [k * x for x in rows[0]]  # singular
+        rows[-1] = [k * x for x in rows[0]]  # dependent rows
+    if cols > 1 and data.draw(st.booleans()):
+        k = CycNum(level, data.draw(st.lists(_rationals, max_size=2)))
+        for row in rows:
+            row[-1] = k * row[0]  # dependent columns
     return CycMatrix(level, rows)
 
 
@@ -312,6 +318,16 @@ def test_matrix_ops_match_fraction_reference(level, n, data):
         eye = [[RefCyc(level, [int(i == j)]) for j in range(n)] for i in range(n)]
         ech, _, _ = _ref_eliminated([r + e for r, e in zip(ra, eye)])
         assert _coeffs_of(a.inv()) == _coeffs_of([row[n:] for row in ech])
+
+
+_RECTANGLES = [(r, c) for r in range(1, 9) for c in range(1, 9) if r != c and min(r, c) <= 4]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_MATRIX_LEVELS), st.sampled_from(_RECTANGLES), st.data())
+def test_rectangular_rank_matches_fraction_reference(level, shape, data):
+    a = _matrix(data, level, *shape)
+    assert a.rank() == _ref_eliminated(_ref_matrix(a))[1]
 
 
 @st.composite

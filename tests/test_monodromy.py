@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hgsearch import monodromy
 from hgsearch.monodromy import (
+    TruncSeries,
     gj_coefficients,
     levelt_matrices,
     verify_annihilation,
@@ -12,6 +15,9 @@ from hgsearch.monodromy import (
     verify_pseudoreflection,
 )
 from hgsearch.params import parse
+from hgsearch.residues import bracket
+from hgsearch.tables import SPECIAL_ROWS, row_param
+from test_cyclo import _valid_params
 
 P9 = parse("d=9;a=0,0,0;b=1,2,6")
 P18 = parse("d=18;a=0,0,0,3;b=4,11,16,17")
@@ -54,31 +60,54 @@ def test_annihilation_small_order():
         assert verify_annihilation(P9, j, 8)
 
 
-def test_annihilation_detects_perturbed_series():
-    # rerun the recurrence with one coefficient bumped; it must break
-    from hgsearch.residues import bracket
+def test_annihilation_detects_perturbed_series(monkeypatch):
+    # verify_annihilation itself must reject a series with one coefficient
+    # bumped, first, middle or last
+    big_k = 8
+    for j in range(1, P9.n + 1):
+        assert verify_annihilation(P9, j, big_k)
+        ser = gj_coefficients(P9, j, big_k)
+        for k in (0, big_k // 2, big_k):
+            coeffs = list(ser.coeffs)
+            coeffs[k] += 1
+            bumped = TruncSeries(ser.exponent, tuple(coeffs))
+            monkeypatch.setattr(monodromy, "gj_coefficients", lambda p, j, K: bumped)
+            assert not verify_annihilation(P9, j, big_k)
+        monkeypatch.undo()
 
-    d, j, big_k = P9.d, 2, 8
-    ser = gj_coefficients(P9, j, big_k)
-    coeffs = list(ser.coeffs)
-    coeffs[3] += 1
-    b1 = P9.betas[0]
-    sb = [bracket(b - b1, d) for b in P9.betas]
-    sa = [bracket(a - b1, d) for a in P9.alphas]
-    e = ser.exponent
-    broke = False
-    for k in range(big_k + 1):
-        lhs = coeffs[k]
-        for x in sb:
-            lhs *= e + d * k + x - d
-        rhs = Fraction(0)
-        if k:
-            rhs = coeffs[k - 1]
-            for x in sa:
-                rhs *= e + d * (k - 1) + x
-        if lhs != rhs:
-            broke = True
-    assert broke
+
+def _reference_gj(p, j, big_k):
+    """The series as the per-factor recurrence built it: c_k = c_{k-1} *
+    prod_i (A_i/d + k-1) / prod_i (B_i/d + k-1), one Fraction step per factor."""
+    d, b1, bj = p.d, p.betas[0], p.betas[j - 1]
+    sh = bracket(bj - b1, d)
+    nums = [Fraction(d + bracket(a - b1, d) - sh, d) for a in p.alphas]
+    dens = [Fraction(d + bracket(b - b1, d) - sh, d) for b in p.betas]
+    coeffs = [Fraction(1)]
+    c = Fraction(1)
+    for k in range(1, big_k + 1):
+        for z in nums:
+            c *= z + (k - 1)
+        for z in dens:
+            c /= z + (k - 1)
+        coeffs.append(c)
+    return TruncSeries(exponent=bracket(b1 - bj, d), coeffs=tuple(coeffs))
+
+
+def test_series_matches_reference_on_special_rows():
+    for row in SPECIAL_ROWS:
+        p = row_param(row)
+        for j in range(1, p.n + 1):
+            assert gj_coefficients(p, j, 30) == _reference_gj(p, j, 30)
+            assert verify_annihilation(p, j, 30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_valid_params(), st.integers(0, 30), st.data())
+def test_series_matches_reference(p, big_k, data):
+    j = data.draw(st.integers(1, p.n))
+    assert gj_coefficients(p, j, big_k) == _reference_gj(p, j, big_k)
+    assert verify_annihilation(p, j, big_k)
 
 
 def test_series_coefficient_oracle():
