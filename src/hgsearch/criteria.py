@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .intlattice import SmithForm, kernel_basis, smith_form, solve_lattice
+from .intlattice import NoSolution, SmithForm, lattice_coordinates, smith_form, solve_lattice
 from .params import MAX_D, HgParam
 from .residues import (
     UnitSubgroup,
@@ -224,25 +224,18 @@ def _matrix(cols: Sequence[Sequence[int]], rows: int) -> List[List[int]]:
 
 @lru_cache(maxsize=None)
 def _solve_transform(d: int):
-    """The pivot basis of the epsilon spanning set and an integer solve
-    transform for it, from the Smith form U M_piv V = [D; 0] of the matrix
-    M_piv of pivot columns over the d-1 points.
+    """The pivot basis of the epsilon spanning set and the Smith form of
+    the matrix M_piv of pivot columns over the d-1 points.
 
     Pivots are taken greedily in listed order: a column is a pivot when it
     lies outside the rational span of the pivots before it, which one
     fraction-free elimination against the echelon rows of the earlier
-    pivots decides.  U is unimodular, so its rows past the rank span the
-    rational left kernel of M_piv.
+    pivots decides.
 
-    Returns (idx, cols, piv, t, den) with den = lcm(D).  The first len(piv)
-    rows of t are den V D^-1 U[:r], which give den times the pivot
-    coefficients of f; the remaining rows, U[r:], vanish on f exactly when f
-    lies in the span.
-
-    Solving against the pivot columns alone (all other coefficients zero)
-    mirrors the published computation, which inverted the matrix of one
-    chosen set of basis elements rather than searching the full solution
-    lattice.
+    Returns (idx, cols, piv, sf).  Solving against the pivot columns alone
+    (all other coefficients zero) mirrors the published computation, which
+    inverted the matrix of one chosen set of basis elements rather than
+    searching the full solution lattice.
     """
     idx, cols = _e_columns(d)
     piv: List[int] = []
@@ -258,42 +251,32 @@ def _solve_transform(d: int):
             g = math.gcd(*v)
             echelon.append((lead, [x // g for x in v]))
             piv.append(j)
-    sf = smith_form(_matrix([cols[k] for k in piv], d - 1))
-    left = sf.u[sf.rank :]
-    den = math.lcm(*sf.diag)
-    scaled = [[den // dq * x for x in row] for dq, row in zip(sf.diag, sf.u)]
-    t = [[sum(a * b for a, b in zip(vrow, col)) for col in zip(*scaled)] for vrow in sf.v]
-    return idx, cols, tuple(piv), tuple(map(tuple, t + left)), den
+    return idx, cols, tuple(piv), smith_form(_matrix([cols[k] for k in piv], d - 1))
 
 
 def solve_in_E_basis(f: Sequence[int]) -> Optional[Dict[Tuple[int, int], int]]:
     """The unique solution supported on the fixed pivot basis, or None when
-    it is inconsistent or non-integral."""
-    idx, _, piv, t, den = _solve_transform(len(f) + 1)
-    r = len(piv)
-    if any(sum(a * b for a, b in zip(row, f)) for row in t[r:]):
+    it is inconsistent or non-integral.  The pivot columns are independent,
+    so the solution is unique, and V is unimodular, so it is integral
+    exactly when the lattice solve finds one."""
+    idx, _, piv, sf = _solve_transform(len(f) + 1)
+    try:
+        x = solve_lattice(sf, f)
+    except NoSolution:
         return None
-    out = {}
-    for j, row in zip(piv, t):
-        q, rem = divmod(sum(a * b for a, b in zip(row, f)), den)
-        if rem:
-            return None
-        out[idx[j]] = q
-    return out
+    return {idx[j]: q for j, q in zip(piv, x)}
 
 
 @lru_cache(maxsize=None)
-def _e_lattice(d: int) -> Tuple[Tuple[Tuple[int, int], ...], SmithForm, Tuple[Tuple[int, ...], ...]]:
+def _e_lattice(d: int) -> Tuple[Tuple[Tuple[int, int], ...], SmithForm]:
     idx, cols = _e_columns(d)
-    sf = smith_form(_matrix(cols, d - 1))
-    ker = tuple(tuple(v) for v in kernel_basis(sf))
-    return idx, sf, ker
+    return idx, smith_form(_matrix(cols, d - 1))
 
 
 def solve_in_E(f: Sequence[int]) -> Dict[Tuple[int, int], int]:
     """Integer coefficients x with sum x_{k,a} eps_{k,a} = f.  Raises
     NoSolution when f is not in the integer span."""
-    idx, sf, _ = _e_lattice(len(f) + 1)
+    idx, sf = _e_lattice(len(f) + 1)
     return dict(zip(idx, solve_lattice(sf, f)))
 
 
@@ -325,40 +308,14 @@ def _b_p(yp: int, pp: int, d: int) -> int:
     return d // math.gcd(yp, d) if d % 4 == 0 or pp % 4 == 1 else 2 * d // math.gcd(yp, 2 * d)
 
 
-@lru_cache(maxsize=None)
-def _kernel_image_group(d: int) -> Tuple[Tuple[int, ...], ...]:
-    """Subgroup of Z/4d x (Z/2d)^m generated by the images of the kernel
-    vectors."""
-    idx, _, ker = _e_lattice(d)
-    gens = [gamma_exponents(dict(zip(idx, v)), d) for v in ker]
-    mods = (4 * d,) + (2 * d,) * len(prime_divisors(d))
-    zero = (0,) * len(mods)
-    group = {zero}
-    frontier = [zero]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = tuple((a + b) % m for a, b, m in zip(cur, g, mods))
-            if nxt not in group:
-                group.add(nxt)
-                frontier.append(nxt)
-    return tuple(sorted(group))
-
-
-def _good_coset(d: int, n: int, image: Tuple[int, ...], published: bool) -> bool:
-    """Whether some solution whose gamma_exponents image lies in image plus
-    the kernel image group meets the coprimality conditions of clause (iv).
-    The published reading tests only the solution on the pivot basis, that
-    is, only the zero shift; the strict one scans the whole coset."""
-    primes = prime_divisors(d)
-    for shift in [(0,) * len(image)] if published else _kernel_image_group(d):
-        y1, *yps = (y + z for y, z in zip(image, shift))
-        b1 = 4 * d // math.gcd(y1, 4 * d)
-        if all(math.gcd(_b_p(y, pp, d), n) == 1 for y, pp in zip(yps, primes)) and (
-            math.gcd(phi(math.lcm(2 * b1, d)) // phi(d), n) == 1
-        ):
-            return True
-    return False
+def _good_point(d: int, n: int, image: Sequence[int]) -> bool:
+    """Whether a solution with this gamma_exponents image meets the
+    coprimality conditions of clause (iv)."""
+    y1, *yps = image
+    b1 = 4 * d // math.gcd(y1, 4 * d)
+    return all(math.gcd(_b_p(y, pp, d), n) == 1 for y, pp in zip(yps, prime_divisors(d))) and (
+        math.gcd(phi(math.lcm(2 * b1, d)) // phi(d), n) == 1
+    )
 
 
 @dataclass
@@ -366,23 +323,23 @@ class _StrictPlan:
     """The strict clause-(iv) solve at modulus d, from the Smith form
     U M V = D of the epsilon matrix M (_e_lattice).
 
-    M x = f has an integer solution exactly when y = U f vanishes past the
-    rank r and D_i divides y_i below it.  Then x = V[:, :r] (y_i / D_i) is
-    one, and its gamma image is w (y_i / D_i) reduced mod the moduli
-    (4d, 2d, ...), with w = Gamma V[:, :r] for the linear map Gamma that
-    gamma_exponents applies.  The verdict depends only on the image's coset
-    h + K modulo the kernel image group K.  The Smith form Uq A Vq of
-    A = [images of the kernel basis | 4d e_0, 2d e_1, ...] keys it: h and
-    h' lie in one coset exactly when Uq h = Uq h' mod each diagonal entry
-    of the form, and the entries equal to 1 are dropped.
+    With y = U f, lattice_coordinates gives z with D z = y[:r], and then
+    x = V[:, :r] z is one integer solution of M x = f.  Its gamma image is
+    w z reduced mod the moduli (4d, 2d, ...), with w = Gamma V[:, :r] for
+    the linear map Gamma that gamma_exponents applies.  The columns of V
+    past the rank are a kernel basis, and their images generate the kernel
+    image group K.  The verdict depends only on the image's coset h + K.
+    The Smith form Uq A Vq of A = [kernel images | 4d e_0, 2d e_1, ...]
+    keys it: h and h' lie in one coset exactly when Uq h = Uq h' mod each
+    diagonal entry of the form, and the entries equal to 1 are dropped.
     """
 
     d: int
-    u: Tuple[Tuple[int, ...], ...]
+    sf: SmithForm
     u_delta: Tuple[Tuple[int, ...], ...]  # U delta_x at index x, zero at 0
-    diag: Tuple[int, ...]
     w: Tuple[Tuple[int, ...], ...]
     mods: Tuple[int, ...]
+    kernel_images: Tuple[Tuple[int, ...], ...]
     quotient: Tuple[Tuple[int, ...], ...]  # the kept rows of Uq
     key_mods: Tuple[int, ...]
     verdicts: Dict[Tuple[int, Tuple[int, ...]], bool] = field(default_factory=dict)  # by (n, key)
@@ -390,36 +347,50 @@ class _StrictPlan:
 
 @lru_cache(maxsize=None)
 def _strict_plan(d: int) -> _StrictPlan:
-    idx, sf, _ = _e_lattice(d)
+    idx, sf = _e_lattice(d)
     mods = (4 * d,) + (2 * d,) * len(prime_divisors(d))
-    # the columns of V past the rank are the kernel basis
     images = [gamma_exponents(dict(zip(idx, col)), d) for col in zip(*sf.v)]
-    gens = images[sf.rank :] + [tuple(m * (i == j) for i in range(len(mods))) for j, m in enumerate(mods)]
+    # the columns of V past the rank are the kernel basis
+    kernel_images = tuple(images[sf.rank :])
+    gens = list(kernel_images) + [tuple(m * (i == j) for i in range(len(mods))) for j, m in enumerate(mods)]
     q = smith_form(_matrix(gens, len(mods)))
     keep = [i for i, dq in enumerate(q.diag) if dq > 1]
     return _StrictPlan(
         d=d,
-        u=tuple(map(tuple, sf.u)),
+        sf=sf,
         u_delta=((0,) * (d - 1),) + tuple(zip(*sf.u)),
-        diag=tuple(sf.diag),
         w=tuple(zip(*images[: sf.rank])),
         mods=mods,
+        kernel_images=kernel_images,
         quotient=tuple(tuple(q.u[i]) for i in keep),
         key_mods=tuple(q.diag[i] for i in keep),
     )
 
 
+@lru_cache(maxsize=None)
+def _kernel_image_group(d: int) -> Tuple[Tuple[int, ...], ...]:
+    """The kernel image group K, the subgroup of Z/4d x (Z/2d)^m generated
+    by the images of the kernel basis, listed by a breadth-first walk."""
+    plan = _strict_plan(d)
+    zero = (0,) * len(plan.mods)
+    group = {zero}
+    frontier = [zero]
+    while frontier:
+        cur = frontier.pop()
+        for g in plan.kernel_images:
+            nxt = tuple((a + b) % m for a, b, m in zip(cur, g, plan.mods))
+            if nxt not in group:
+                group.add(nxt)
+                frontier.append(nxt)
+    return tuple(sorted(group))
+
+
 def _strict_image(plan: _StrictPlan, y: Sequence[int]) -> Optional[Tuple[int, ...]]:
     """The gamma image of an integer solution of M x = f, given y = U f, or
     None when there is none."""
-    if any(y[len(plan.diag) :]):
+    z = lattice_coordinates(plan.sf, y)
+    if z is None:
         return None
-    z = []
-    for yi, di in zip(y, plan.diag):
-        q, rem = divmod(yi, di)
-        if rem:
-            return None
-        z.append(q)
     return tuple(sum(a * b for a, b in zip(row, z)) % m for row, m in zip(plan.w, plan.mods))
 
 
@@ -434,7 +405,10 @@ def _coset_verdict(plan: _StrictPlan, n: int, image: Tuple[int, ...]) -> bool:
     key = (n, _coset_key(plan, image))
     verdict = plan.verdicts.get(key)
     if verdict is None:
-        verdict = plan.verdicts[key] = _good_coset(plan.d, n, image, False)
+        verdict = plan.verdicts[key] = any(
+            _good_point(plan.d, n, [y + z for y, z in zip(image, shift)])
+            for shift in _kernel_image_group(plan.d)
+        )
     return verdict
 
 
@@ -449,9 +423,9 @@ def _bracket_sum(c: Sequence[int], s: int, d: int) -> int:
 def _clause_iv(p: HgParam, f: Tuple[int, ...], published: bool) -> bool:
     if published:
         coeffs = solve_in_E_basis(f)
-        return coeffs is not None and _good_coset(p.d, p.n, gamma_exponents(coeffs, p.d), True)
+        return coeffs is not None and _good_point(p.d, p.n, gamma_exponents(coeffs, p.d))
     plan = _strict_plan(p.d)
-    image = _strict_image(plan, [sum(a * b for a, b in zip(row, f)) for row in plan.u])
+    image = _strict_image(plan, [sum(a * b for a, b in zip(row, f)) for row in plan.sf.u])
     return image is not None and _coset_verdict(plan, p.n, image)
 
 
@@ -525,7 +499,7 @@ def find_c(p: HgParam, published: bool = True) -> Optional[Tuple[int, int, int]]
         return next((c for c in cs if _clause_iv(p, build_f(p, c), True)), None)
     plan = _strict_plan(d)
     f0 = build_f(p, (0, 0, 0))
-    y0 = [sum(a * b for a, b in zip(row, f0)) for row in plan.u]
+    y0 = [sum(a * b for a, b in zip(row, f0)) for row in plan.sf.u]
     for c in cs:
         cols = [plan.u_delta[x] for x in c]
         image = _strict_image(plan, [a + n * (b1 + b2 + b3) for a, b1, b2, b3 in zip(y0, *cols)])

@@ -156,11 +156,7 @@ class CycNum:
                         prod[i + j] += x * y
         return _cyc(self.level, prod, self.den * other.den)
 
-    __radd__ = __add__
     __rmul__ = __mul__
-
-    def __rsub__(self, other) -> "CycNum":
-        return _coerce(other, self.level) - self
 
     def inv(self) -> "CycNum":
         """Inverse through the norm: the product P of the conjugates of num
@@ -180,13 +176,9 @@ class CycNum:
         sign = 1 if norm > 0 else -1
         return _cyc(level, [sign * self.den * c for c in prod.num], sign * norm)
 
-    def __truediv__(self, other) -> "CycNum":
-        other = _coerce(other, self.level)
-        return self * other.inv()
-
     def __pow__(self, k: int) -> "CycNum":
         if k < 0:
-            return self.inv() ** (-k)
+            raise ValueError(f"negative exponent {k}: take inv() first")
         out = CycNum.one(self.level)
         base = self
         while k:

@@ -1,7 +1,10 @@
 """Exact integer linear algebra: Smith normal form and lattice solving.
 
-Used to decide integer solvability of M x = f and to describe the full
-solution lattice (particular solution + kernel basis).  Matrices here are
+Decides integer solvability of A x = b from one Smith form U A V = D of A
+(Cohen, A Course in Computational Algebraic Number Theory, GTM 138, 2.4):
+with y = U b, a solution exists exactly when y vanishes past the rank and
+D_i divides y_i below it, and then x = V z with D z = y[:rank].  The
+columns of V past the rank are a basis of the kernel.  Matrices here are
 small (tens of rows/columns), so a straightforward SNF with transformation
 matrices is plenty.
 """
@@ -9,6 +12,7 @@ matrices is plenty.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 
 def _identity(k: int) -> list[list[int]]:
@@ -61,38 +65,23 @@ def smith_form(a: list[list[int]]) -> SmithForm:
 
     t = 0
     while t < m and t < n:
-        # find a pivot
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if s[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
+        # a least nonzero entry of the block left is the pivot, which keeps
+        # the quotients small; a first-nonzero pivot can grow the entries
+        # of a 6 x 6 matrix with entries in [-6, 6] to millions of bits
+        block = [(abs(s[i][j]), i, j) for i in range(t, m) for j in range(t, n) if s[i][j]]
+        if not block:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        # clear row and column t
-        while True:
-            progress = False
-            for i in range(t + 1, m):
-                if s[i][t] != 0:
-                    q = s[i][t] // s[t][t]
-                    add_row(t, i, -q)
-                    if s[i][t] != 0:
-                        swap_rows(t, i)
-                    progress = True
-            for j in range(t + 1, n):
-                if s[t][j] != 0:
-                    q = s[t][j] // s[t][t]
-                    add_col(t, j, -q)
-                    if s[t][j] != 0:
-                        swap_cols(t, j)
-                    progress = True
-            if not progress:
-                break
+        _, i, j = min(block)
+        swap_rows(t, i)
+        swap_cols(t, j)
+        for i in range(t + 1, m):
+            if s[i][t]:
+                add_row(t, i, -(s[i][t] // s[t][t]))
+        for j in range(t + 1, n):
+            if s[t][j]:
+                add_col(t, j, -(s[t][j] // s[t][t]))
+        if any(s[i][t] for i in range(t + 1, m)) or any(s[t][j] for j in range(t + 1, n)):
+            continue  # a remainder, smaller than the pivot, is the next pivot
         if s[t][t] < 0:
             s[t] = [-x for x in s[t]]
             u[t] = [-x for x in u[t]]
@@ -106,26 +95,28 @@ class NoSolution(Exception):
     """The integer linear system has no solution."""
 
 
-def solve_lattice(sf: SmithForm, b: list[int]) -> list[int]:
+def lattice_coordinates(sf: SmithForm, y: Sequence[int]) -> Optional[list[int]]:
+    """z with D z = y[:rank], for y = U b: the first rank coordinates in
+    the basis V of every integer solution of A x = b (the others are free),
+    or None when there is none because y is nonzero past the rank (b lies
+    outside the rational span) or some D_i does not divide y_i."""
+    if any(y[sf.rank :]):
+        return None
+    z = []
+    for yi, di in zip(y, sf.diag):
+        q, rem = divmod(yi, di)
+        if rem:
+            return None
+        z.append(q)
+    return z
+
+
+def solve_lattice(sf: SmithForm, b: Sequence[int]) -> list[int]:
     """One integer solution x of A x = b given the Smith form of A.
 
     Raises NoSolution if none exists.
     """
-    m, n, r = sf.rows, sf.cols, sf.rank
-    y = [sum(sf.u[i][k] * b[k] for k in range(m)) for i in range(m)]
-    z = [0] * n
-    for i in range(r):
-        q, rem = divmod(y[i], sf.diag[i])
-        if rem != 0:
-            raise NoSolution(f"coordinate {i}: {y[i]} not divisible by {sf.diag[i]}")
-        z[i] = q
-    for i in range(r, m):
-        if y[i] != 0:
-            raise NoSolution(f"inconsistent row {i}")
-    return [sum(sf.v[i][k] * z[k] for k in range(n)) for i in range(n)]
-
-
-def kernel_basis(sf: SmithForm) -> list[list[int]]:
-    """Integer basis of {x : A x = 0}: the last cols - rank columns of V."""
-    n, r = sf.cols, sf.rank
-    return [[sf.v[i][k] for i in range(n)] for k in range(r, n)]
+    z = lattice_coordinates(sf, [sum(a * x for a, x in zip(row, b)) for row in sf.u])
+    if z is None:
+        raise NoSolution("no integer solution")
+    return [sum(a * x for a, x in zip(row, z)) for row in sf.v]

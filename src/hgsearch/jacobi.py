@@ -185,23 +185,22 @@ def jacobi_direct(ctx: PrimeFieldCtx, a_vec: Sequence[int]) -> CycNum:
 
 def _hensel_roots(ctx: PrimeFieldCtx, prec: int) -> Dict[int, int]:
     """d-th roots of unity in Z/l^prec, keyed by unit s: root = lift of
-    g^{s(l-1)/d}, with g the generator of ctx, the one its character uses."""
+    g^{s(l-1)/d}, with g the generator of ctx, the one its character uses.
+    l is 1 mod d, so it does not divide d: each root mod l is simple and
+    lifts uniquely, and the lift of g^{s(l-1)/d} is the s-th power of the
+    lift of g^{(l-1)/d}."""
     d, ell = ctx.d, ctx.ell
-    base = pow(ctx.g, (ell - 1) // d, ell)
+    x = pow(ctx.g, (ell - 1) // d, ell)
+    k = 1
+    while k < prec:
+        k = min(2 * k, prec)
+        m = ell ** k
+        # Newton step for x^d - 1
+        fx = (pow(x, d, m) - 1) % m
+        dfx = d * pow(x, d - 1, m) % m
+        x = (x - fx * pow(dfx, -1, m)) % m
     mod = ell ** prec
-    out = {}
-    for s in units(d):
-        x = pow(base, s, ell)
-        k = 1
-        while k < prec:
-            k = min(2 * k, prec)
-            m = ell ** k
-            # Newton step for x^d - 1
-            fx = (pow(x, d, m) - 1) % m
-            dfx = d * pow(x, d - 1, m) % m
-            x = (x - fx * pow(dfx, -1, m)) % m
-        out[s] = x % mod
-    return out
+    return {s: pow(x, s, mod) for s in units(d)}
 
 
 def _embed(v: CycNum, omega: int, mod: int) -> int:

@@ -56,9 +56,10 @@ def _levelt(p: HgParam) -> tuple[LeveltPair, CycMatrix]:
 
 
 def _char_poly_check(m: CycMatrix, exponents) -> bool:
-    # each claimed root z must make zI - M singular; exact
+    # each claimed root z must make zI - M singular; exact, once per
+    # distinct root
     n = m.rows
-    for e in exponents:
+    for e in set(exponents):
         z = root_of_unity(m.level, e)
         rows = [[-x for x in row] for row in m.entries]
         for i in range(n):
@@ -86,14 +87,16 @@ def verify_infinity_blocks(p: HgParam) -> bool:
 
 
 def verify_det_identities(p: HgParam) -> bool:
-    pair, m = _levelt(p)
-    level = pair.a.level
-    one = CycNum.one(level)
-    if (pair.a.det() ** p.d) != one:
+    """det(A)^d = det(B)^d = 1 and det(A^{-1}B) = det(B) det(A)^{-1} = +1
+    (d odd) or -1 (d even)."""
+    pair, _ = _levelt(p)
+    one = CycNum.one(pair.a.level)
+    det_a, det_b = pair.a.det(), pair.b.det()
+    if det_a ** p.d != one:
         return False
-    if (pair.b.det() ** p.d) != one:
+    if det_b ** p.d != one:
         return False
-    return m.det() == CycNum.from_rational(level, pseudoreflection_det(p.d))
+    return det_b == det_a * pseudoreflection_det(p.d)
 
 
 # ---------------------------------------------------------------------------

@@ -217,13 +217,10 @@ def passing_moduli(
     d_max: int = 30,
     workers: int = 1,
 ) -> List[int]:
-    """Moduli d in range admitting at least one passing parameter."""
-    out = []
-    for d in range(max(d_min, n + 1), d_max + 1):
-        spec = SearchSpec(n=n, partition=partition, d_min=d, d_max=d, workers=workers)
-        if run_search(spec):
-            out.append(d)
-    return out
+    """Moduli d in range admitting at least one passing parameter, from
+    one search over the whole range."""
+    spec = SearchSpec(n=n, partition=partition, d_min=d_min, d_max=d_max, workers=workers)
+    return sorted({r["d"] for r in run_search(spec)})
 
 
 def find_witness(n: int, partition: Tuple[int, ...], d: int) -> Optional[dict]:

@@ -402,9 +402,10 @@ def test_solve_transform_pivots_match_greedy_reference():
 
 
 def _reference_solve_transform(d):
-    """_solve_transform as it was built with one Smith form per pivot: a
-    column is a pivot when the left-kernel rows of the pivots before it do
-    not all vanish on it."""
+    """The pivot basis as picked with one Smith form per pivot (a column is
+    a pivot when the left-kernel rows of the pivots before it do not all
+    vanish on it), and the den-scaled solve transform of the last Smith
+    form: (idx, cols, piv, t, den)."""
     from hgsearch.criteria import _e_columns
 
     idx, cols = _e_columns(d)
@@ -422,13 +423,37 @@ def _reference_solve_transform(d):
     return idx, cols, tuple(piv), tuple(map(tuple, t + left)), den
 
 
+def _reference_basis_solve(transform, f):
+    """The pivot-basis solve through the den-scaled transform: the rows of
+    t past the pivots must vanish on f, and den must divide the others."""
+    idx, _, piv, t, den = transform
+    if any(sum(a * b for a, b in zip(row, f)) for row in t[len(piv) :]):
+        return None
+    out = {}
+    for j, row in zip(piv, t):
+        q, rem = divmod(sum(a * b for a, b in zip(row, f)), den)
+        if rem:
+            return None
+        out[idx[j]] = q
+    return out
+
+
 def test_solve_transform_matches_smith_per_pivot_loop():
-    # one elimination picks the pivots and one Smith form of the final pivot
-    # matrix gives the transform: the same tuple as a Smith form per pivot
+    # one elimination picks the same pivots as a Smith form per pivot, and
+    # the lattice solve on the pivot columns agrees with the den-scaled
+    # transform on every kind of f
     from hgsearch.criteria import _solve_transform
 
+    rng = random.Random(48)
+    seen = Counter()
     for d in [*range(3, 49), 60]:
-        assert _solve_transform(d) == _reference_solve_transform(d), d
+        ref = _reference_solve_transform(d)
+        assert _solve_transform(d)[:3] == ref[:3], d
+        for values in _solver_cases(d, rng):
+            got = solve_in_E_basis(tuple(values))
+            assert got == _reference_basis_solve(ref, values), (d, values)
+            seen[got is not None] += 1
+    assert seen[True] > 500 and seen[False] > 500, seen
 
 
 def _reference_solve(f):
@@ -537,7 +562,7 @@ def test_solve_in_E_matches_reference_and_basis_solve():
         plan = _strict_plan(d)
         for values in _solver_cases(d, rng):
             f = tuple(values)
-            image = _strict_image(plan, [sum(a * b for a, b in zip(row, f)) for row in plan.u])
+            image = _strict_image(plan, [sum(a * b for a, b in zip(row, f)) for row in plan.sf.u])
             try:
                 x = solve_in_E(f)
             except NoSolution:
@@ -845,7 +870,7 @@ def test_coset_test_matches_direct_scan():
     # y-values of the given solution.  The strict lookup, one verdict per
     # coset key, must match the same conditions on every shift of that
     # solution's image by the kernel image group.
-    from hgsearch.criteria import _coset_verdict, _good_coset, _strict_plan
+    from hgsearch.criteria import _coset_verdict, _good_point, _strict_plan
 
     rng = random.Random(3)
     outcomes = {True: set(), False: set()}
@@ -860,7 +885,7 @@ def test_coset_test_matches_direct_scan():
             ), (d, coeffs)
             for n in (3, 4, 6):
                 want = _reference_coprime(y1, yps, d, n)
-                assert _good_coset(d, n, image, True) == want, (d, n, coeffs)
+                assert _good_point(d, n, image) == want, (d, n, coeffs)
                 outcomes[True].add(want)
                 want = _reference_coset_good(coeffs, d, n)
                 assert _coset_verdict(_strict_plan(d), n, image) == want, (d, n, coeffs)

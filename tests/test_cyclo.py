@@ -245,7 +245,8 @@ def test_ring_matches_fraction_reference(level, data):
     elif not y.is_zero():
         ry_inv = ry.inv()
         assert y.inv().coeffs == ry_inv.coeffs
-        assert (y ** k).coeffs == (ry_inv ** -k).coeffs
+        with pytest.raises(ValueError, match="negative exponent"):
+            y ** k
 
 
 def _assert_canonical(a, b):
@@ -272,7 +273,7 @@ def test_equal_values_are_stored_alike(level, data):
     _assert_canonical(x * y, y * x)
     _assert_canonical((x + y) - y, x)
     q = data.draw(_rationals.filter(bool))
-    _assert_canonical((x * q) / q, x)
+    _assert_canonical(x * q * (1 / q), x)
     _assert_canonical(x - x, CycNum.zero(level))
     if not x.is_zero():
         _assert_canonical(x * x.inv(), CycNum.one(level))

@@ -6,6 +6,7 @@ from hgsearch.cyclo import CycNum, root_of_unity
 from hgsearch.jacobi import (
     PrimeFieldCtx,
     ZeroVector,
+    _hensel_roots,
     hodge_newton_check,
     jacobi,
     jacobi2,
@@ -14,6 +15,8 @@ from hgsearch.jacobi import (
     motive_valuations,
 )
 from hgsearch.params import parse
+from hgsearch.residues import units
+from hgsearch.tables import SPECIAL_ROWS
 
 
 def test_least_prime_above():
@@ -96,3 +99,29 @@ def test_motive_valuations_match_hodge():
     vals = motive_valuations(p, 19)
     assert sorted(vals[1]) == [2, 3, 4]
     assert hodge_newton_check(p, 19)
+
+
+def _newton_roots(ctx, prec):
+    """d-th roots of unity mod l^prec by one Newton lift per unit s of
+    g^{s(l-1)/d}: the reference for lifting one root and taking powers."""
+    d, ell = ctx.d, ctx.ell
+    out = {}
+    for s in units(d):
+        x = pow(ctx.g, s * (ell - 1) // d, ell)
+        k = 1
+        while k < prec:
+            k = min(2 * k, prec)
+            m = ell**k
+            x = (x - (pow(x, d, m) - 1) * pow(d * pow(x, d - 1, m), -1, m)) % m
+        out[s] = x
+    return out
+
+
+def test_hensel_roots_match_one_lift_per_unit():
+    # on every special row's modulus, at the two least primes 1 mod d
+    for d in sorted({row.d for row in SPECIAL_ROWS}):
+        ell = least_prime_above(d)
+        for ell in (ell, least_prime_above(d, lower=ell + 1)):
+            ctx = PrimeFieldCtx(d, ell)
+            for prec in (1, 2, 5, 40):
+                assert _hensel_roots(ctx, prec) == _newton_roots(ctx, prec), (d, ell, prec)

@@ -12,6 +12,7 @@ from hgsearch.search import (
     enumerate_alphas,
     enumerate_betas,
     find_witness,
+    passing_moduli,
     run_search,
 )
 from hgsearch.tables import (
@@ -195,3 +196,20 @@ def test_find_witness():
     assert w is not None
     assert w["d"] == 9
     assert find_witness(4, (2, 2), 10) is None
+
+
+def _per_d_passing_moduli(n, partition, d_min, d_max):
+    """passing_moduli as one search per modulus: the reference for the
+    single search over the range."""
+    out = []
+    for d in range(max(d_min, n + 1), d_max + 1):
+        if run_search(SearchSpec(n=n, partition=partition, d_min=d, d_max=d)):
+            out.append(d)
+    return out
+
+
+def test_passing_moduli_matches_one_search_per_modulus():
+    for partition in ((2, 2), (3, 1)):
+        want = _per_d_passing_moduli(4, partition, 3, 20)
+        for workers in (1, 2):
+            assert passing_moduli(4, partition, 3, 20, workers=workers) == want, (partition, workers)
