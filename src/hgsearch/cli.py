@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--dedup",
         action="store_true",
-        help="keep one representative per scaling orbit; needs --strict-criteria",
+        help="keep the least passing member of each scaling orbit; needs --strict-criteria",
     )
     sp.add_argument("--checkpoint", default=None)
     sp.add_argument(

@@ -70,7 +70,13 @@ def _char_poly_check(m: CycMatrix, exponents) -> bool:
 
 
 def verify_pseudoreflection(p: HgParam) -> bool:
-    """rank(A^{-1}B - I) = 1 and det(A^{-1}B) = +1 (d odd) or -1 (d even)."""
+    """rank(A^{-1}B - I) = 1 and det(A^{-1}B) = +1 (d odd) or -1 (d even).
+
+    Holds by construction on every valid parameter: A^{-1}B - I is
+    A^{-1}(B - A), and B - A is zero outside a last column that the
+    disjoint alphas and betas make nonzero; the determinant is
+    zeta_d^{sum(beta) - sum(alpha)}, fixed by the sum rule.  So this tests
+    the cyclo arithmetic, not the criteria."""
     _, m = _levelt(p)
     if (m - CycMatrix.identity(m.level, p.n)).rank() != 1:
         return False
@@ -80,7 +86,11 @@ def verify_pseudoreflection(p: HgParam) -> bool:
 
 def verify_infinity_blocks(p: HgParam) -> bool:
     """A^d is unipotent with Jordan block sizes equal to the alpha
-    multiplicities."""
+    multiplicities.
+
+    Holds by construction on every valid parameter: a companion matrix is
+    cyclic, and J_m(z)^d is a single block in characteristic 0.  So this
+    tests the cyclo arithmetic, not the criteria."""
     pair, _ = _levelt(p)
     ad = pair.a ** p.d
     return unipotent_block_sizes(ad) == jordan_blocks(p)
@@ -88,7 +98,11 @@ def verify_infinity_blocks(p: HgParam) -> bool:
 
 def verify_det_identities(p: HgParam) -> bool:
     """det(A)^d = det(B)^d = 1 and det(A^{-1}B) = det(B) det(A)^{-1} = +1
-    (d odd) or -1 (d even)."""
+    (d odd) or -1 (d even).
+
+    Holds by construction on every valid parameter: the determinants are
+    products of d-th roots of unity, and the sum rule fixes their ratio.
+    So this tests the cyclo arithmetic, not the criteria."""
     pair, _ = _levelt(p)
     one = CycNum.one(pair.a.level)
     det_a, det_b = pair.a.det(), pair.b.det()
@@ -141,6 +155,11 @@ def verify_annihilation(p: HgParam, j: int, big_k: int) -> bool:
     j = 1 that exponent is d, not 0, so the series is checked at effective
     exponent d (equivalently, the stored exponent-0 series starts with
     c_{-1} = 0 shifted by one step).
+
+    Holds by construction on every valid parameter: gj_coefficients steps
+    the series by the very ratio the operator asks of consecutive
+    coefficients.  So this tests the series code and the recurrence, not
+    the criteria.
     """
     d = p.d
     ser = gj_coefficients(p, j, big_k)
@@ -158,7 +177,11 @@ def verify_annihilation(p: HgParam, j: int, big_k: int) -> bool:
 
 
 def verify_levelt(p: HgParam) -> bool:
-    """Bundle of the exact matrix checks, used by the CLI."""
+    """Bundle of the exact matrix checks, used by the CLI.  Each holds by
+    construction on every valid parameter (A and B are the companion
+    matrices of their exponents), so this tests the cyclo arithmetic, not
+    the criteria.  Only jacobi.hodge_newton_check compares a criterion-side
+    value with an independent one."""
     pair, _ = _levelt(p)
     if not _char_poly_check(pair.a, p.alphas):
         return False

@@ -19,8 +19,10 @@ def bracket(x: int, d: int) -> int:
     return x % d
 
 
-def prime_divisors(m: int) -> list[int]:
-    """The distinct primes dividing m >= 1, increasing, by trial division."""
+@lru_cache(maxsize=None)
+def prime_divisors(m: int) -> tuple[int, ...]:
+    """The distinct primes dividing m >= 1, increasing, by trial division.
+    Memoised, as the strict coset scan asks for d's primes at every point."""
     out = []
     q = 2
     while q * q <= m:
@@ -31,7 +33,7 @@ def prime_divisors(m: int) -> list[int]:
         q += 1
     if m > 1:
         out.append(m)
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -44,7 +46,7 @@ def phi(m: int) -> int:
 
 
 def is_prime(m: int) -> bool:
-    return m > 1 and prime_divisors(m) == [m]
+    return m > 1 and prime_divisors(m) == (m,)
 
 
 def units(d: int) -> list[int]:
@@ -141,37 +143,44 @@ class UnitSubgroup:
         return set(self.elements) <= set(other.elements)
 
 
+def _join(d: int, h: frozenset, g: int) -> frozenset:
+    """H·<g> for a subgroup H and a unit g: the union of the cosets g^k·H
+    up to the first g^k that lies in one already taken, which is then in H.
+    A non-unit g stops too, leaving non-units for UnitSubgroup to refuse."""
+    out, x = set(h), g % d
+    while x not in out:
+        out.update(x * y % d for y in h)
+        x = x * g % d
+    return frozenset(out)
+
+
 def closure(d: int, gens: Iterable[int]) -> UnitSubgroup:
     """Subgroup of (Z/dZ)^x generated by the given units."""
-    elems = {1} | {g % d for g in gens}
-    while True:
-        new = {(a * b) % d for a in elems for b in elems}
-        if new <= elems:
-            return UnitSubgroup(d, elems)
-        elems |= new
+    h = frozenset({1})
+    for g in gens:
+        h = _join(d, h, g)
+    return UnitSubgroup(d, h)
 
 
 @lru_cache(maxsize=None)
 def unit_subgroups(d: int) -> tuple[UnitSubgroup, ...]:
     """Every subgroup of (Z/dZ)^x, each once, sorted by (order, elements).
 
-    Iterated closure: extend each known subgroup by each unit until no new
-    subgroup appears.  Memoised per d, since complements() reads the list
-    once per candidate U.
+    Every subgroup is a product <g_1>···<g_k>, so extending each known
+    subgroup H to H·<g> by each unit g reaches them all.  Memoised per d,
+    since complements() reads the list once per candidate U.
     """
     us = units(d)
-    found = {UnitSubgroup(d, [1])}
+    found = {frozenset({1})}
     frontier = list(found)
     while frontier:
         h = frontier.pop()
         for g in us:
-            if g in h:
-                continue
-            bigger = closure(d, list(h.elements) + [g])
+            bigger = _join(d, h, g)
             if bigger not in found:
                 found.add(bigger)
                 frontier.append(bigger)
-    return tuple(sorted(found, key=lambda h: (len(h), h.elements)))
+    return tuple(sorted((UnitSubgroup(d, h) for h in found), key=lambda h: (len(h), h.elements)))
 
 
 def complements(u: UnitSubgroup) -> list[UnitSubgroup]:

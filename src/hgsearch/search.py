@@ -3,7 +3,8 @@
 Staged filtering (regularity, then big monodromy, then the determinant
 criterion with its c-search), parallelized over (d, alpha-shape) chunks,
 with a resumable plain-text checkpoint.  Output order is deterministic
-and independent of the worker count.
+and independent of the worker count.  Dedup by scaling is one pass over
+the merged, sorted results: it keeps each orbit's least passing member.
 """
 
 from __future__ import annotations
@@ -48,12 +49,10 @@ class SearchSpec:
             raise ValueError("dedup by scaling needs the strict criteria")
 
     def fingerprint(self) -> dict:
-        """The fields besides the chunk key that change a chunk's results."""
-        return {
-            "published": self.published,
-            "dedup_by_scaling": self.dedup_by_scaling,
-            "limit": self.limit,
-        }
+        """The settings besides the chunk key that change a chunk's results.
+        An orbit's members can lie in different chunks, so under dedup a
+        chunk cannot tell which of its rows survive, and runs unlimited."""
+        return {"published": self.published, "limit": None if self.dedup_by_scaling else self.limit}
 
 
 class CheckpointError(ValueError):
@@ -119,11 +118,9 @@ def _chunk_key(d: int, alphas: Tuple[int, ...]) -> str:
 
 def search_chunk(args) -> Tuple[str, List[dict]]:
     """Worker: all passing parameters for one (d, alpha-shape) chunk."""
-    d, alphas, dedup, limit, published = args
+    d, alphas, limit, published = args
     out: List[dict] = []
     for p in _candidate_params(d, alphas):
-        if dedup and canonical_form(p) != p:
-            continue
         if not is_regular(p):
             continue
         if not (bm_published(p) if published else bm(p)[0]):
@@ -171,11 +168,11 @@ def _load_checkpoint(path: Optional[str], fingerprint: dict) -> Dict[str, List[d
 def run_search(spec: SearchSpec) -> List[dict]:
     """All passing parameters in the requested range, globally sorted by
     (d, alpha, beta).  Deterministic regardless of worker count."""
+    fingerprint = spec.fingerprint()
     chunks = []
     for d in range(max(spec.d_min, spec.n + 1), spec.d_max + 1):
         for alphas in enumerate_alphas(d, spec.partition):
-            chunks.append((d, alphas, spec.dedup_by_scaling, spec.limit, spec.published))
-    fingerprint = spec.fingerprint()
+            chunks.append((d, alphas, fingerprint["limit"], fingerprint["published"]))
     done = _load_checkpoint(spec.checkpoint, fingerprint)
     todo = [c for c in chunks if _chunk_key(c[0], c[1]) not in done]
     ckpt = open(spec.checkpoint, "a") if spec.checkpoint else None
@@ -205,6 +202,13 @@ def run_search(spec: SearchSpec) -> List[dict]:
     for c in chunks:
         merged.extend(done[_chunk_key(c[0], c[1])])
     merged.sort(key=lambda r: (r["d"], tuple(r["alpha"]), tuple(r["beta"])))
+    if spec.dedup_by_scaling:
+        # an orbit's canonical form is its least member in this order, so
+        # the first row of each orbit is its least passing member
+        orbits: Dict[HgParam, dict] = {}
+        for r in merged:
+            orbits.setdefault(canonical_form(validate(r["d"], r["alpha"], r["beta"])), r)
+        merged = list(orbits.values())
     if spec.limit is not None:
         merged = merged[: spec.limit]
     return merged
@@ -227,7 +231,7 @@ def find_witness(n: int, partition: Tuple[int, ...], d: int) -> Optional[dict]:
     """First passing parameter for a single modulus, scanning in the
     deterministic enumeration order."""
     for alphas in enumerate_alphas(d, partition):
-        key, results = search_chunk((d, alphas, False, 1, True))
+        key, results = search_chunk((d, alphas, 1, True))
         if results:
             return results[0]
     return None

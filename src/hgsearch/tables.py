@@ -72,6 +72,9 @@ KNOWN_BM_DISCREPANCIES = {
 # partitions of n -> sorted moduli d <= 30 admitting a passing parameter
 POSSIBLE_D: Dict[Tuple[int, ...], Tuple[int, ...]] = {
     (2, 2): (9, 12, 15, 20, 21, 24, 27),
+    # d=18 rests on a reading that depends on the representative: published
+    # (D) passes 2 of the 6 members of each of the three d=18 orbits that
+    # reach it, never the canonical one (test_mixed_published_orbits_per_member)
     (3, 1): (18, 20, 24, 28, 30),
     (3, 2): (12, 14, 16, 18, 22, 24, 26, 28),
     (4, 1): (18, 21, 24),

@@ -195,3 +195,14 @@ def test_checkpoint_from_before_the_filter_switches_went(tmp_path, capsys):
     args = ["search", "--n", "3", "--partition", "3", "--d-min", "9", "--d-max", "9"]
     assert main(args + ["--checkpoint", str(ck)]) == 2
     assert "bad checkpoint" in capsys.readouterr().err
+
+
+def test_checkpoint_with_dedup_by_scaling_is_refused(tmp_path, capsys):
+    # checkpoints of the old per-chunk dedup hold only canonical forms, so
+    # they must never be mixed into a run
+    ck = tmp_path / "ck.jsonl"
+    old = {"published": False, "dedup_by_scaling": True, "limit": None}
+    ck.write_text(json.dumps({"key": "9:0,0,0", "spec": old, "results": []}) + "\n")
+    args = ["search", "--n", "3", "--partition", "3", "--d-min", "9", "--d-max", "9"]
+    assert main(args + ["--strict-criteria", "--dedup", "--checkpoint", str(ck)]) == 2
+    assert "bad checkpoint" in capsys.readouterr().err

@@ -31,7 +31,7 @@ from hgsearch.criteria import (
     solve_in_E_basis,
 )
 from hgsearch.intlattice import NoSolution, smith_form
-from hgsearch.params import HgParam, parse, scale, validate
+from hgsearch.params import HgParam, canonical_form, parse, scale, scaling_orbit, validate
 from hgsearch.residues import (
     UnitSubgroup,
     complements,
@@ -279,13 +279,13 @@ def test_full_report_enumerates_the_subgroups_once(monkeypatch):
     from hgsearch import residues
 
     calls = []
-    real = residues.closure
+    real = residues._join
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(residues, "closure", counted)
+    monkeypatch.setattr(residues, "_join", counted)
     residues.unit_subgroups.cache_clear()
     residues.unit_subgroups(60)
     once = len(calls)
@@ -815,6 +815,45 @@ def test_published_d_is_not_scaling_invariant():
     assert q.betas == (4, 5, 10, 11)
     assert find_c(p) == (1, 7, 10)
     assert find_c(q) is None
+
+
+# The (3,1) orbits on which published (D) is mixed, each with the members
+# that pass and their c; every other member fails, the canonical one too.
+MIXED_PUBLISHED_ORBITS = {
+    "d=18;a=0,0,0,3;b=4,5,6,15": {
+        "d=18;a=0,0,0,3;b=6,11,15,16": (1, 7, 10),
+        "d=18;a=0,0,0,15;b=2,3,7,12": (4, 16, 16),
+    },
+    "d=18;a=0,0,0,3;b=4,5,9,12": {
+        "d=18;a=0,0,0,3;b=9,11,12,16": (1, 7, 10),
+        "d=18;a=0,0,0,15;b=2,6,7,9": (4, 16, 16),
+    },
+    "d=18;a=0,0,0,3;b=4,5,10,11": {
+        "d=18;a=0,0,0,3;b=4,11,16,17": (1, 7, 10),
+        "d=18;a=0,0,0,15;b=1,2,7,14": (4, 16, 16),
+    },
+    "d=30;a=0,0,0,3;b=5,19,26,28": {
+        "d=30;a=0,0,0,9;b=4,5,7,8": (9, 22, 29),
+        "d=30;a=0,0,0,9;b=14,17,25,28": (1, 2, 27),
+        "d=30;a=0,0,0,21;b=2,5,13,16": (3, 28, 29),
+        "d=30;a=0,0,0,21;b=22,23,25,26": (1, 8, 21),
+    },
+}
+
+
+def test_mixed_published_orbits_per_member():
+    # the three d=18 orbits are all the evidence for d=18 in the published
+    # (3,1) row, so that row rests on which member is tested
+    for canon, passing in MIXED_PUBLISHED_ORBITS.items():
+        p = parse(canon)
+        assert canonical_form(p) == p
+        orbit = scaling_orbit(p)
+        assert len(orbit) == phi(p.d)
+        verdicts = {q.literal(): find_c(q) for q in orbit}
+        assert {lit: c for lit, c in verdicts.items() if c is not None} == passing, canon
+        for q in orbit:
+            # regular and BM throughout, and strict (D) passes every member
+            assert is_regular(q) and bm_published(q) and find_c(q, False) is not None, q.literal()
 
 
 @settings(max_examples=400, deadline=None)

@@ -23,7 +23,7 @@ def test_number_theory_matches_brute_force():
     for m in range(1, 3001):
         divisors = [q for q in range(2, m + 1) if m % q == 0]
         primes = [q for q in divisors if all(q % r for r in range(2, q))]
-        assert prime_divisors(m) == primes, m
+        assert prime_divisors(m) == tuple(primes), m
         assert is_prime(m) == (divisors == [m]), m
         assert phi(m) == sum(1 for x in range(1, m + 1) if math.gcd(x, m) == 1), m
 
@@ -83,6 +83,55 @@ def test_closure_and_subgroups():
     sizes = sorted(len(s) for s in subs)
     # phi(9) = 6, cyclic, so one subgroup per divisor of 6
     assert sizes == [1, 2, 3, 6]
+
+
+def _reference_closure(d, gens):
+    # the walk unit_subgroups used to take: square the element set until it
+    # is closed
+    elems = {1} | {g % d for g in gens}
+    while True:
+        new = {(a * b) % d for a in elems for b in elems}
+        if new <= elems:
+            return UnitSubgroup(d, elems)
+        elems |= new
+
+
+def _reference_unit_subgroups(d):
+    # iterated closure: extend each known subgroup by each unit
+    found = {UnitSubgroup(d, [1])}
+    frontier = list(found)
+    while frontier:
+        h = frontier.pop()
+        for g in units(d):
+            if g not in h:
+                bigger = _reference_closure(d, list(h.elements) + [g])
+                if bigger not in found:
+                    found.add(bigger)
+                    frontier.append(bigger)
+    return tuple(sorted(found, key=lambda h: (len(h), h.elements)))
+
+
+def test_unit_subgroups_match_iterated_closure():
+    for d in list(range(3, 61)) + [105, 112, 120]:
+        assert unit_subgroups(d) == _reference_unit_subgroups(d), d
+
+
+def test_unit_subgroups_of_a_cyclic_group_one_per_divisor():
+    # (Z/pZ)^x is cyclic of order p - 1, with one subgroup per divisor
+    for p in (109, 113):
+        divisors = [k for k in range(1, p) if (p - 1) % k == 0]
+        assert sorted(len(h) for h in unit_subgroups(p)) == divisors
+
+
+def test_closure_matches_reference_and_refuses_non_units():
+    for d in range(3, 41):
+        us = units(d)
+        for gens in [[g] for g in us] + [us[i : i + 2] for i in range(0, len(us), 3)]:
+            assert closure(d, gens) == _reference_closure(d, gens), (d, gens)
+        for g in range(d):
+            if math.gcd(g, d) != 1:
+                with pytest.raises(ValueError):
+                    closure(d, [1, g])
 
 
 def test_complements():

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from hgsearch.criteria import bm, det_condition, is_regular, jordan_blocks
-from hgsearch.params import validate
+from hgsearch.params import canonical_form, validate
 from hgsearch.search import (
     CheckpointError,
     SearchSpec,
@@ -189,6 +189,73 @@ def test_dedup_needs_strict_criteria():
     full = run_search(SearchSpec(n=3, partition=(3,), d_min=9, d_max=9, published=False))
     dedup = run_search(spec)
     assert dedup and all(r in full for r in dedup)
+
+
+def _orbit(r):
+    return canonical_form(validate(r["d"], r["alpha"], r["beta"]))
+
+
+def _row_key(r):
+    return (r["d"], tuple(r["alpha"]), tuple(r["beta"]))
+
+
+def test_dedup_keeps_the_least_passing_member_of_every_orbit():
+    # strict bm bullet 2 is not scaling-invariant, so an orbit can pass on
+    # members other than its canonical form; n=3 (3) has two such orbits,
+    # d=15;a=0,0,0;b=1,5,9 and d=21;a=0,0,0;b=1,7,13
+    moved = 0
+    for n, part, d_max in ((3, (3,), 30), (3, (2, 1), 30), (4, (2, 2), 24), (4, (3, 1), 20)):
+        kw = dict(n=n, partition=part, d_min=5, d_max=d_max, published=False)
+        full = run_search(SearchSpec(**kw))
+        dedup = run_search(SearchSpec(dedup_by_scaling=True, **kw))
+        orbits = {}
+        for r in full:
+            orbits.setdefault(_orbit(r), []).append(r)
+        assert len(dedup) == len(orbits) and {_orbit(r) for r in dedup} == set(orbits), part
+        for r in dedup:
+            assert r in full, r
+            assert r == min(orbits[_orbit(r)], key=_row_key), r
+            moved += _orbit(r) != validate(r["d"], r["alpha"], r["beta"])
+    assert moved == 2
+
+
+def _strict_dedup(**kw):
+    return SearchSpec(n=3, partition=(3,), d_min=5, d_max=21, published=False, dedup_by_scaling=True, **kw)
+
+
+def test_dedup_resumes_a_plain_strict_checkpoint(tmp_path):
+    ck = str(tmp_path / "ck.jsonl")
+    plain = SearchSpec(n=3, partition=(3,), d_min=5, d_max=21, published=False, checkpoint=ck)
+    run_search(plain)
+    with open(ck) as fh:
+        written = fh.read()
+    assert run_search(_strict_dedup(checkpoint=ck)) == run_search(_strict_dedup())
+    # every chunk came from the checkpoint
+    with open(ck) as fh:
+        assert fh.read() == written
+
+
+def test_dedup_checkpoint_from_before_the_dedup_pass_is_refused(tmp_path):
+    ck = tmp_path / "ck.jsonl"
+    for dedup in (True, False):
+        old = {"published": False, "dedup_by_scaling": dedup, "limit": None}
+        ck.write_text(json.dumps({"key": "9:0,0,0", "spec": old, "results": []}) + "\n")
+        with pytest.raises(CheckpointError):
+            run_search(_strict_dedup(checkpoint=str(ck)))
+
+
+def test_dedup_limit_is_a_prefix_and_workers_agree():
+    # at d=12 the fourth row of the (2,2) chunk 0,0,2,2 repeats the orbit of
+    # its first, so a per-chunk limit of 4 would cut the fourth orbit's
+    # least member, the chunk's fifth row
+    for n, part, d_max in ((3, (3,), 21), (4, (2, 2), 12)):
+        kw = dict(n=n, partition=part, d_min=5, d_max=d_max, published=False, dedup_by_scaling=True)
+        whole = run_search(SearchSpec(**kw))
+        assert len(whole) >= 4
+        for k in range(1, len(whole) + 2):
+            assert run_search(SearchSpec(limit=k, **kw)) == whole[:k], (part, k)
+        assert run_search(SearchSpec(workers=2, **kw)) == whole
+        assert run_search(SearchSpec(workers=2, limit=4, **kw)) == whole[:4]
 
 
 def test_find_witness():
