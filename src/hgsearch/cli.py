@@ -14,7 +14,7 @@ import sys
 from typing import List, Optional
 
 from .criteria import full_report
-from .params import ValidationError, parse
+from .params import MAX_D, ValidationError, parse
 from .search import CheckpointError, SearchSpec, passing_moduli, run_search
 from .tables import POSSIBLE_D, reproduce_special
 
@@ -37,6 +37,15 @@ def _parse_param(literal: str):
     except (ValidationError, ValueError) as exc:
         print(f"bad parameter literal: {exc}", file=sys.stderr)
         return None
+
+
+def _verify_param(literal: str):
+    """_parse_param, also refusing d above params.MAX_D before any arithmetic."""
+    p = _parse_param(literal)
+    if p is not None and p.d > MAX_D:
+        print(f"bad parameter: d = {p.d} is above the cap {MAX_D}", file=sys.stderr)
+        return None
+    return p
 
 
 def _cmd_check(args) -> int:
@@ -129,7 +138,7 @@ def _cmd_tables(args) -> int:
 def _cmd_verify_monodromy(args) -> int:
     from .monodromy import verify_levelt
 
-    p = _parse_param(args.param)
+    p = _verify_param(args.param)
     if p is None:
         return 2
     ok = verify_levelt(p)
@@ -140,7 +149,7 @@ def _cmd_verify_monodromy(args) -> int:
 def _cmd_verify_ode(args) -> int:
     from .monodromy import verify_annihilation
 
-    p = _parse_param(args.param)
+    p = _verify_param(args.param)
     if p is None:
         return 2
     try:
@@ -156,14 +165,14 @@ def _cmd_verify_ode(args) -> int:
 
 
 def _cmd_verify_jacobi(args) -> int:
-    from .jacobi import PrecisionExhausted, hodge_newton_report
+    from .jacobi import hodge_newton_report
 
-    p = _parse_param(args.param)
+    p = _verify_param(args.param)
     if p is None:
         return 2
     try:
-        vals, match = hodge_newton_report(p, args.ell, args.prec)
-    except (ValueError, PrecisionExhausted) as exc:
+        vals, match = hodge_newton_report(p, args.ell)
+    except ValueError as exc:
         print(f"bad jacobi check: {exc}", file=sys.stderr)
         return 2
     payload = {
@@ -228,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-jacobi", help="l-adic valuations vs Hodge degrees")
     sp.add_argument("--param", required=True)
     sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--prec", type=int, default=40)
     add_fmt(sp)
     sp.set_defaults(func=_cmd_verify_jacobi)
 

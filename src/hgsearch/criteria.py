@@ -471,13 +471,14 @@ def _c_candidates(d: int) -> Iterable[Tuple[int, int, int]]:
 @lru_cache(maxsize=None)
 def _c_index(d: int) -> Dict[Tuple[int, ...], List[Tuple[int, int, int]]]:
     """The c-triples grouped by their profile (S_c(s) - S_c(u_0)) over the
-    units s, where S_c(s) = sum_i [s c_i]; each group in _c_candidates order."""
-    us = units(d)
+    units s, where S_c(s) = sum_i [s c_i]; each group in _c_candidates order.
+    u_0 = 1, so the profile is the sum over i of the rows ([s x] - x)_s at
+    x = c_i."""
+    rows = [[s * x % d - x for s in units(d)] for x in range(d)]
     index: Dict[Tuple[int, ...], List[Tuple[int, int, int]]] = {}
-    for c in _c_candidates(d):
-        s0 = _bracket_sum(c, us[0], d)
-        key = tuple(_bracket_sum(c, s, d) - s0 for s in us)
-        index.setdefault(key, []).append(c)
+    for c1, c2, c3 in _c_candidates(d):
+        key = tuple([a + b + c for a, b, c in zip(rows[c1], rows[c2], rows[c3])])
+        index.setdefault(key, []).append((c1, c2, c3))
     return index
 
 

@@ -22,11 +22,11 @@ from typing import Optional, Sequence
 
 from .residues import units
 
-# check and search refuse d above MAX_D, and search refuses n above MAX_N:
-# full_report takes under a second up to d = 120, and its walk over the
-# subgroups of (Z/dZ)^x a quarter second up to d = 240, but a search scans
-# about C(d, n-1) beta sets per alpha shape, and its answers are tested
-# only up to d = 30
+# check, search and the verify commands refuse d above MAX_D, and search
+# refuses n above MAX_N: full_report takes under a second up to d = 120,
+# and its walk over the subgroups of (Z/dZ)^x a quarter second up to
+# d = 240, but a search scans about C(d, n-1) beta sets per alpha shape, its
+# answers are tested only up to d = 30, and verify-jacobi works mod l^d
 MAX_D = 120
 MAX_N = 7
 

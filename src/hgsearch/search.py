@@ -41,6 +41,8 @@ class SearchSpec:
             raise ValueError(f"n = {self.n} is above the cap {MAX_N}")
         if self.d_max > MAX_D:
             raise ValueError(f"d_max = {self.d_max} is above the cap {MAX_D}")
+        if self.limit is not None and self.limit < 0:
+            raise ValueError(f"limit must be >= 0, got {self.limit}")
         if tuple(sorted(self.partition, reverse=True)) != tuple(self.partition):
             raise ValueError("partition must be non-increasing")
         # Published-mode (D) solves on a fixed pivot basis and is not

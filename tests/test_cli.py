@@ -80,8 +80,6 @@ def test_verify_jacobi(capsys):
             "d=9;a=0,0,0;b=1,2,6",
             "--ell",
             "19",
-            "--prec",
-            "20",
         ]
     )
     out = json.loads(capsys.readouterr().out)
@@ -95,8 +93,8 @@ def test_verify_jacobi(capsys):
     [
         ("d=9;a=0,0,0;b=1,2,6", ["--ell", "20"]),  # l != 1 mod d
         ("d=9;a=0,0,0;b=1,2,6", ["--ell", "28"]),  # composite l = 1 mod d
-        ("d=9;a=0,0,0;b=1,2,6", ["--ell", "19", "--prec", "0"]),
-        ("d=9;a=0,0,0;b=1,2,6", ["--ell", "19", "--prec", "1"]),  # cap reached
+        ("d=9;a=0,0,0;b=1,2,6", ["--ell", "1"]),  # 1 mod d, not prime
+        ("d=9;a=0,0,0;b=1,2,6", ["--ell", "-17"]),  # 1 mod d, negative
         ("d=9;a=0,0,1;b=2,3,5", ["--ell", "19"]),  # not regular
     ],
 )
@@ -141,13 +139,49 @@ def test_search_above_the_caps(capsys, which):
     assert "bad search spec" in err and str(MAX_N if which == "n" else MAX_D) in err
 
 
-def test_verify_jacobi_prec_above_the_cap(capsys):
-    from hgsearch.jacobi import MAX_PREC
+@pytest.mark.parametrize("param, ell", [("d=84;a=0,0;b=1,41", 337), ("d=120;a=0,0;b=1,59", 241)])
+def test_verify_jacobi_large_d(capsys, param, ell):
+    # valuations reach d/2 here, past any fixed precision below it
+    assert main(["verify-jacobi", "--param", param, "--ell", str(ell)]) == 0
+    assert json.loads(capsys.readouterr().out)["hodge_match"] is True
 
-    args = ["verify-jacobi", "--param", "d=9;a=0,0,0;b=1,2,6", "--ell", "19"]
-    assert main([*args, "--prec", str(MAX_PREC + 1)]) == 2
+
+@pytest.mark.parametrize("cmd", ["verify-monodromy", "verify-ode", "verify-jacobi"])
+def test_verify_d_above_the_cap(monkeypatch, capsys, cmd):
+    from hgsearch import monodromy
+    from hgsearch.params import MAX_D
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("arithmetic on a parameter above the cap")
+
+    # the package exports a function named jacobi, so fetch the module itself
+    jacobi = importlib.import_module("hgsearch.jacobi")
+    monkeypatch.setattr(monodromy, "verify_levelt", refuse)
+    monkeypatch.setattr(monodromy, "verify_annihilation", refuse)
+    monkeypatch.setattr(jacobi, "hodge_newton_report", refuse)
+    d = MAX_D + 1
+    param = f"d={d};a=0,0;b=1,{(-1 - d * (d - 1) // 2) % d}"
+    extra = ["--ell", str(jacobi.least_prime_above(d))] if cmd == "verify-jacobi" else []
+    assert main([cmd, "--param", param, *extra]) == 2
     err = capsys.readouterr().err
-    assert "bad jacobi check" in err and str(MAX_PREC) in err
+    assert "bad parameter" in err and str(MAX_D) in err
+
+
+def test_search_negative_limit(capsys):
+    args = ["search", "--n", "4", "--partition", "2,2", "--d-min", "5", "--d-max", "12"]
+    assert main(args + ["--limit", "-1"]) == 2
+    assert "bad search spec" in capsys.readouterr().err
+    assert main(args + ["--limit", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["n\td\talpha\tbeta\tc"]
+
+
+def test_check_allow_bm_discrepancy(capsys):
+    # passes R and D but fails a BM bullet, as a documented special row does
+    args = ["check", "--param", "d=9;a=0,0,0,0;b=1,2,7,8"]
+    assert main(args) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["R"] is True and out["D"]["pass"] is True and out["BM"]["pass"] is False
+    assert main(args + ["--allow-bm-discrepancy"]) == 0
 
 
 def test_verify_jacobi_computes_the_sums_once(monkeypatch, capsys):

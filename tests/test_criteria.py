@@ -10,6 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from hgsearch.criteria import (
     NonIntegralDegree,
+    _bracket_sum,
+    _c_candidates,
+    _c_index,
     bm,
     bm_finite,
     bm_published,
@@ -1024,3 +1027,13 @@ def test_bm_matches_reference_bullets():
     p = parse("d=12;a=0,0,6,6;b=1,2,7,8")
     assert _reference_bm_failures(p) == [3]
     assert bm(p) == (False, 3) and not bm_published(p)
+
+
+def test_c_index_matches_per_unit_bracket_sums():
+    for d in [*range(3, 41), 105, 112, 120]:
+        us = units(d)
+        want = {}
+        for c in _c_candidates(d):
+            key = tuple(_bracket_sum(c, s, d) - _bracket_sum(c, us[0], d) for s in us)
+            want.setdefault(key, []).append(c)
+        assert _c_index(d) == want, d

@@ -6,7 +6,9 @@ from hgsearch.cyclo import CycNum, root_of_unity
 from hgsearch.jacobi import (
     PrimeFieldCtx,
     ZeroVector,
+    _embed,
     _hensel_roots,
+    _valuation,
     hodge_newton_check,
     jacobi,
     jacobi2,
@@ -14,9 +16,9 @@ from hgsearch.jacobi import (
     least_prime_above,
     motive_valuations,
 )
-from hgsearch.params import parse
+from hgsearch.params import a_vector, parse
 from hgsearch.residues import units
-from hgsearch.tables import SPECIAL_ROWS
+from hgsearch.tables import SPECIAL_ROWS, row_param
 
 
 def test_least_prime_above():
@@ -26,20 +28,11 @@ def test_least_prime_above():
 
 
 def test_ctx_basics():
-    ctx = PrimeFieldCtx(3, 7)
-    # dlog is a bijection on the nonzero residues
-    assert sorted(ctx.dlog[x] for x in range(1, 7)) == list(range(6))
-    g = ctx.g
-    assert pow(g, 6, 7) == 1
-    assert all(pow(g, k, 7) != 1 for k in range(1, 6))
-
-
-def test_ctx_rejects_a_non_generator():
-    assert PrimeFieldCtx(3, 7, generator=3).g == 3
-    # 2 has order 3 mod 7, 6 order 2, 1 order 1; 7 is 0 in F_7
-    for g in (2, 6, 1, 7):
-        with pytest.raises(ValueError, match="does not generate"):
-            PrimeFieldCtx(3, 7, generator=g)
+    for d, ell in ((3, 7), (9, 19), (20, 41), (24, 73), (120, 241)):
+        ctx = PrimeFieldCtx(d, ell)
+        # dlog is a bijection on the nonzero residues, so g generates
+        assert sorted(ctx.dlog[x] for x in range(1, ell)) == list(range(ell - 1))
+        assert all(pow(ctx.g, ctx.dlog[x], ell) == x for x in range(1, ell))
 
 
 def test_jacobi2_absolute_value():
@@ -125,3 +118,46 @@ def test_hensel_roots_match_one_lift_per_unit():
             ctx = PrimeFieldCtx(d, ell)
             for prec in (1, 2, 5, 40):
                 assert _hensel_roots(ctx, prec) == _newton_roots(ctx, prec), (d, ell, prec)
+
+
+def _reference_valuations(p, ell):
+    """motive_valuations read at precision 2d, with the valuation taken on
+    the integer itself: twice the precision the Weil bound asks for."""
+    d, prec = p.d, 2 * p.d
+    ctx = PrimeFieldCtx(d, ell)
+    sums = [jacobi(ctx, [(a + b) % d for a in a_vector(p)]) for b in p.betas]
+    out = {}
+    for s, omega in _hensel_roots(ctx, prec).items():
+        vals = []
+        for j in sums:
+            x = _embed(j, omega, ell**prec)
+            assert x != 0
+            v = 0
+            while x % ell == 0:
+                x, v = x // ell, v + 1
+            vals.append(v)
+        out[s] = sorted(vals)
+    return out
+
+
+def test_valuations_match_a_reference_at_twice_the_precision():
+    for row in SPECIAL_ROWS:
+        p = row_param(row)
+        ell = least_prime_above(p.d)
+        vals = motive_valuations(p, ell)
+        assert vals == _reference_valuations(p, ell), p.literal()
+        assert all(0 <= v <= p.d - 2 for vs in vals.values() for v in vs)
+
+
+@pytest.mark.parametrize("literal, ell", [("d=84;a=0,0;b=1,41", 337), ("d=120;a=0,0;b=1,59", 241)])
+def test_valuations_lie_within_the_weil_bound_past_d_40(literal, ell):
+    p = parse(literal)
+    vals = motive_valuations(p, ell)
+    assert all(0 <= v <= p.d - 2 for vs in vals.values() for v in vs)
+    assert max(max(vs) for vs in vals.values()) == p.d // 2
+
+
+def test_valuation_refuses_zero():
+    assert _valuation(19**3 * 5, 19) == 3
+    with pytest.raises(RuntimeError):
+        _valuation(0, 19)

@@ -108,6 +108,14 @@ def test_search_small_case_finds_table_row():
     ]
 
 
+def test_search_spec_refuses_a_negative_limit():
+    # a negative limit once cut every chunk after its first row and then
+    # dropped the last rows as a slice would
+    with pytest.raises(ValueError, match="limit"):
+        SearchSpec(n=3, partition=(3,), d_min=9, d_max=9, limit=-1)
+    assert run_search(SearchSpec(n=3, partition=(3,), d_min=9, d_max=9, limit=0)) == []
+
+
 def test_search_deterministic_across_worker_counts():
     base = None
     for workers in (1, 4, 8):
