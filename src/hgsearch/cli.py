@@ -120,6 +120,11 @@ def _cmd_tables(args) -> int:
         all_pass = all(v.passes for v in verdicts)
         return 0 if all_pass and not undocumented else 1
     # possible-d: recompute the n=4 rows (the cheap exhaustive ones)
+    try:
+        SearchSpec(n=4, partition=(2, 2), d_min=3, d_max=30, workers=args.jobs)
+    except ValueError as exc:
+        print(f"bad tables run: {exc}", file=sys.stderr)
+        return 2
     report = {}
     ok = True
     for part in ((2, 2), (3, 1)):

@@ -17,18 +17,19 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .residues import units
 
 # check, search and the verify commands refuse d above MAX_D, and search
-# refuses n above MAX_N: full_report takes under a second up to d = 120,
-# and its walk over the subgroups of (Z/dZ)^x a quarter second up to
-# d = 240, but a search scans about C(d, n-1) beta sets per alpha shape, its
-# answers are tested only up to d = 30, and verify-jacobi works mod l^d
+# refuses n above MAX_N and more than MAX_WORKERS worker processes:
+# full_report takes under a second up to d = 120, and its walk over the
+# subgroups of (Z/dZ)^x a quarter second up to d = 240, but a search visits
+# about C(d, n)/d beta sets per alpha shape, its answers are tested only up
+# to d = 30, and verify-jacobi works mod l^d
 MAX_D = 120
 MAX_N = 7
+MAX_WORKERS = 64
 
 
 class ValidationError(ValueError):
@@ -55,8 +56,7 @@ class InvalidScale(ValidationError):
     """The scale is not a unit mod d."""
 
 
-@dataclass(frozen=True)
-class HgParam:
+class HgParam(NamedTuple):
     """A validated hypergeometric parameter.  Immutable; build via validate()."""
 
     d: int
@@ -109,8 +109,8 @@ def validate(
         raise BetaRepeat(f"repeated beta in {b}")
     if not beta_set.isdisjoint(a):
         raise AlphaBetaCollision(f"alpha and beta share {sorted(beta_set.intersection(a))}")
-    diff, want = (sum(a) - sum(b)) % d, math.comb(d, 2) % d
-    if diff != want:
+    if (sum(a) - sum(b) - d * (d - 1) // 2) % d:
+        diff, want = (sum(a) - sum(b)) % d, math.comb(d, 2) % d
         raise SumMismatch(f"sum(alpha)-sum(beta) = {diff} != C({d},2) = {want} mod {d}")
     cc: Optional[tuple[int, int, int]] = None
     if c is not None:

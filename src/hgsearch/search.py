@@ -12,11 +12,12 @@ from __future__ import annotations
 import itertools
 import json
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .criteria import bm, bm_published, find_c, is_regular
-from .params import MAX_D, MAX_N, HgParam, canonical_form, validate
+from .params import MAX_D, MAX_N, MAX_WORKERS, HgParam, canonical_form, validate
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,8 @@ class SearchSpec:
             raise ValueError(f"n = {self.n} is above the cap {MAX_N}")
         if self.d_max > MAX_D:
             raise ValueError(f"d_max = {self.d_max} is above the cap {MAX_D}")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers = {self.workers} is not in 1..{MAX_WORKERS}")
         if self.limit is not None and self.limit < 0:
             raise ValueError(f"limit must be >= 0, got {self.limit}")
         if tuple(sorted(self.partition, reverse=True)) != tuple(self.partition):
@@ -89,29 +92,32 @@ def enumerate_alphas(d: int, partition: Sequence[int]) -> Iterator[Tuple[int, ..
 def enumerate_betas(
     d: int, n: int, required_sum: int, forbidden: Set[int]
 ) -> Iterator[Tuple[int, ...]]:
-    """n-subsets of (Z/dZ) minus forbidden with the prescribed sum mod d.
-    The last element is determined by the first n-1, so the scan is over
-    (n-1)-subsets."""
+    """n-subsets of (Z/dZ) minus forbidden with the prescribed sum mod d, in
+    lexicographic order.  Each subset is a head of h = n - n//2 elements
+    and a tail of k = n//2.  The tails are filed by sum mod d, so a head
+    finds the tails that complete it with one bisection past its last
+    element.  Of the m allowed residues, heads come only from the first
+    m - k and tails from the last m - h, so the scan is over C(m-k, h)
+    heads and C(m-h, k) tails."""
     allowed = sorted(set(range(d)) - {x % d for x in forbidden})
-    if n > len(allowed):
+    m, k = len(allowed), n // 2
+    h = n - k
+    if n > m:
         return
-    allowed_set = set(allowed)
-    if n == 1:
-        last = required_sum % d
-        if last in allowed_set:
-            yield (last,)
+    if k == 0:
+        if required_sum % d in allowed:
+            yield (required_sum % d,)
         return
-    for head in itertools.combinations(allowed, n - 1):
-        last = (required_sum - sum(head)) % d
-        if last > head[-1] and last in allowed_set:
-            yield head + (last,)
-
-
-def _candidate_params(d: int, alphas: Tuple[int, ...]) -> Iterator[HgParam]:
-    n = len(alphas)
-    required = (sum(alphas) - d * (d - 1) // 2) % d
-    for betas in enumerate_betas(d, n, required, set(alphas)):
-        yield validate(d, alphas, betas)
+    tails: List[List[Tuple[int, ...]]] = [[] for _ in range(d)]
+    firsts: List[List[int]] = [[] for _ in range(d)]
+    for tail in itertools.combinations(allowed[h:], k):
+        r = sum(tail) % d
+        tails[r].append(tail)
+        firsts[r].append(tail[0])
+    for head in itertools.combinations(allowed[: m - k], h):
+        r = (required_sum - sum(head)) % d
+        for tail in tails[r][bisect_right(firsts[r], head[-1]) :]:
+            yield head + tail
 
 
 def _chunk_key(d: int, alphas: Tuple[int, ...]) -> str:
@@ -121,8 +127,10 @@ def _chunk_key(d: int, alphas: Tuple[int, ...]) -> str:
 def search_chunk(args) -> Tuple[str, List[dict]]:
     """Worker: all passing parameters for one (d, alpha-shape) chunk."""
     d, alphas, limit, published = args
+    required = (sum(alphas) - d * (d - 1) // 2) % d
     out: List[dict] = []
-    for p in _candidate_params(d, alphas):
+    for betas in enumerate_betas(d, len(alphas), required, set(alphas)):
+        p = validate(d, alphas, betas)
         if not is_regular(p):
             continue
         if not (bm_published(p) if published else bm(p)[0]):

@@ -139,6 +139,20 @@ def test_search_above_the_caps(capsys, which):
     assert "bad search spec" in err and str(MAX_N if which == "n" else MAX_D) in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2", "65"])
+def test_search_and_tables_refuse_a_bad_jobs(capsys, jobs):
+    from hgsearch.params import MAX_WORKERS
+
+    assert MAX_WORKERS == 64
+    args = ["search", "--n", "3", "--partition", "3", "--d-min", "9", "--d-max", "9", "--jobs", jobs]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "bad search spec" in err and "workers" in err
+    assert main(["tables", "--which", "possible-d", "--jobs", jobs]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "bad tables run" in err and "workers" in err
+
+
 @pytest.mark.parametrize("param, ell", [("d=84;a=0,0;b=1,41", 337), ("d=120;a=0,0;b=1,59", 241)])
 def test_verify_jacobi_large_d(capsys, param, ell):
     # valuations reach d/2 here, past any fixed precision below it

@@ -45,10 +45,17 @@ from hgsearch.residues import (
     unit_subgroups,
     units,
 )
-from hgsearch.search import _candidate_params, enumerate_alphas
+from hgsearch.search import enumerate_alphas, enumerate_betas
 
 P9 = parse("d=9;a=0,0,0;b=1,2,6")
 P18 = parse("d=18;a=0,0,0,3;b=4,11,16,17;c=1,7,10")
+
+
+def _candidate_params(d, alphas):
+    """Every parameter a search visits for one (d, alpha-shape) chunk."""
+    required = (sum(alphas) - d * (d - 1) // 2) % d
+    for betas in enumerate_betas(d, len(alphas), required, set(alphas)):
+        yield validate(d, alphas, betas)
 
 
 def test_hodge_degrees_base_case():

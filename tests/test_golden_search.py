@@ -45,6 +45,11 @@ CASES = (
         "search", "--n", "4", "--partition", "3,1", "--d-min", "25", "--d-max", "30",
         "--strict-criteria",
     ],
+    # n=5 and n=6 pin the split-half beta enumeration; the --limit run
+    # depends on the order in which candidates are visited
+    ["search", "--n", "6", "--partition", "3,3", "--d-min", "13", "--d-max", "15"],
+    ["search", "--n", "5", "--partition", "2,2,1", "--d-min", "17", "--d-max", "18"],
+    ["search", "--n", "6", "--partition", "4,2", "--d-min", "18", "--d-max", "20", "--limit", "2"],
 )
 
 

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -96,6 +98,24 @@ def test_cli_reports_validation_error_on_stderr(alphas, betas, c, cls, message, 
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"bad parameter literal: {message}\n"
+
+
+def test_hg_param_public_behaviour():
+    p = parse("d=18;a=0,0,0,3;b=4,11,16,17;c=1,7,10")
+    q = HgParam(d=18, alphas=(0, 0, 0, 3), betas=(4, 11, 16, 17), c=(1, 7, 10))
+    assert p == q and hash(p) == hash(q)
+    assert p != p.drop_c() and p.drop_c() == HgParam(18, (0, 0, 0, 3), (4, 11, 16, 17))
+    assert p != HgParam(18, (0, 0, 0, 3), (4, 11, 16, 17), (7, 1, 10))
+    assert len({p, q, p.drop_c()}) == 2
+    assert repr(p) == "HgParam(d=18, alphas=(0, 0, 0, 3), betas=(4, 11, 16, 17), c=(1, 7, 10))"
+    assert str(p) == p.literal() == "d=18;a=0,0,0,3;b=4,11,16,17;c=1,7,10"
+    assert p.drop_c().literal() == "d=18;a=0,0,0,3;b=4,11,16,17"
+    for field in ("d", "alphas", "betas", "c"):
+        with pytest.raises(AttributeError):
+            setattr(p, field, None)
+    # a parameter sent to a worker process is pickled
+    r = pickle.loads(pickle.dumps(p))
+    assert r == p and hash(r) == hash(p) and r.literal() == p.literal()
 
 
 def test_a_vector():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import random
 
 import pytest
 
@@ -81,7 +82,20 @@ def test_enumerate_betas_sum_and_exclusion():
 
 def test_enumerate_betas_is_the_brute_force_list_in_order():
     # the same tuples in the same order: --limit and find_witness keep the
-    # first hits in this order
+    # first hits in this order.  Every n from 1 to 7 splits into a head and
+    # a tail of both parities, and n runs past the number of allowed residues.
+    rng = random.Random(18)
+    for d in range(3, 14):
+        forbidden_sets = [{0}] + [set(rng.sample(range(d), k)) for k in (1, 2, 3)]
+        for forbidden, n in itertools.product(forbidden_sets, range(1, 8)):
+            want = {r: [] for r in range(d)}
+            for betas in itertools.combinations(range(d), n):
+                if not set(betas) & forbidden:
+                    want[sum(betas) % d].append(betas)
+            for required in range(d):
+                got = list(enumerate_betas(d, n, required, forbidden))
+                assert got == want[required], (d, n, required, forbidden)
+    # the chunks of a search, where the forbidden set is the alpha multiset
     cases = [(4, (2, 2), 12), (4, (3, 1), 12), (5, (3, 1, 1), 10)]
     for n, part, d_max in cases:
         for d in range(n + 1, d_max + 1):
@@ -114,6 +128,17 @@ def test_search_spec_refuses_a_negative_limit():
     with pytest.raises(ValueError, match="limit"):
         SearchSpec(n=3, partition=(3,), d_min=9, d_max=9, limit=-1)
     assert run_search(SearchSpec(n=3, partition=(3,), d_min=9, d_max=9, limit=0)) == []
+
+
+def test_search_spec_refuses_a_bad_worker_count():
+    # only constructed, never run: no pool of these sizes is started
+    from hgsearch.params import MAX_WORKERS
+
+    for workers in (0, -2, MAX_WORKERS + 1, 10**6):
+        with pytest.raises(ValueError, match="workers"):
+            SearchSpec(n=3, partition=(3,), d_min=9, d_max=9, workers=workers)
+    for workers in (1, MAX_WORKERS):
+        assert SearchSpec(n=3, partition=(3,), d_min=9, d_max=9, workers=workers).workers == workers
 
 
 def test_search_deterministic_across_worker_counts():
