@@ -13,7 +13,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -22,7 +21,6 @@ from .intlattice import NoSolution, SmithForm, lattice_coordinates, smith_form, 
 from .params import MAX_D, HgParam
 from .residues import (
     UnitSubgroup,
-    bracket,
     complements,
     difference_multiset,
     gap_masks,
@@ -30,6 +28,7 @@ from .residues import (
     phi,
     prime_divisors,
     units,
+    unit_brackets,
     unit_subgroups,
 )
 
@@ -42,21 +41,23 @@ class NonIntegralDegree(Exception):
 # Hodge degrees and regularity
 
 
-def hodge_degrees(p: HgParam, s: int = 1) -> List[int]:
-    """Degrees p_j, one per beta_j, for the parameter scaled by s.
+def hodge_degrees(p: HgParam) -> Dict[int, List[int]]:
+    """Degrees p_j, one per beta_j, for the parameter scaled by each unit s.
 
     d*(p_j + 1) = C(d,2) + sum_i [s b_j - s a_i] - sum_i [s b_j - s b_i].
-    Returned sorted ascending, with multiplicity.
+    Each list is sorted ascending, with multiplicity.
     """
     d = p.d
-    out = []
+    out: Dict[int, List[int]] = {s: [] for s in units(d)}
     for bj in p.betas:
-        tot = d * (d - 1) // 2 + sum(bracket(s * (bj - a), d) for a in p.alphas)
-        tot -= sum(bracket(s * (bj - b), d) for b in p.betas)
-        if tot % d != 0:
-            raise NonIntegralDegree(f"d={d} does not divide {tot} at beta={bj}, s={s}")
-        out.append(tot // d - 1)
-    return sorted(out)
+        plus = unit_brackets(d, [bj - a for a in p.alphas])
+        minus = unit_brackets(d, [bj - b for b in p.betas])
+        for s, x, y in zip(out, plus, minus):
+            tot = d * (d - 1) // 2 + x - y
+            if tot % d != 0:
+                raise NonIntegralDegree(f"d={d} does not divide {tot} at beta={bj}, s={s}")
+            out[s].append(tot // d - 1)
+    return {s: sorted(v) for s, v in out.items()}
 
 
 def is_regular(p: HgParam) -> bool:
@@ -177,12 +178,6 @@ def _function(d: int, base: int, deltas: Iterable[Tuple[int, int]]) -> Tuple[int
         if x:
             values[x - 1] += weight
     return tuple(values)
-
-
-def mean_bracket(f: Sequence[int], s: int) -> Fraction:
-    """<f>(s) = (1/d) sum_a f(a) [s a], exact."""
-    d = len(f) + 1
-    return Fraction(sum(v * bracket(s * a, d) for a, v in enumerate(f, 1)), d)
 
 
 def build_f(p: HgParam, c: Tuple[int, int, int]) -> Tuple[int, ...]:
@@ -416,10 +411,6 @@ def _coset_verdict(plan: _StrictPlan, n: int, image: Tuple[int, ...]) -> bool:
 # Determinant criterion (D)
 
 
-def _bracket_sum(c: Sequence[int], s: int, d: int) -> int:
-    return sum(bracket(s * ci, d) for ci in c)
-
-
 def _clause_iv(p: HgParam, f: Tuple[int, ...], published: bool) -> bool:
     if published:
         coeffs = solve_in_E_basis(f)
@@ -450,7 +441,7 @@ def det_condition(p: HgParam, c: Tuple[int, int, int], published: bool = True) -
     if not is_regular(p):
         return False
     terms = [b - a for a, b in zip(p.alphas, p.betas)] + list(c)
-    if len({_bracket_sum(terms, s, p.d) for s in units(p.d)}) != 1:
+    if len(set(unit_brackets(p.d, terms))) != 1:
         return False
     return _clause_iv(p, build_f(p, c), published)
 
@@ -472,13 +463,11 @@ def _c_candidates(d: int) -> Iterable[Tuple[int, int, int]]:
 def _c_index(d: int) -> Dict[Tuple[int, ...], List[Tuple[int, int, int]]]:
     """The c-triples grouped by their profile (S_c(s) - S_c(u_0)) over the
     units s, where S_c(s) = sum_i [s c_i]; each group in _c_candidates order.
-    u_0 = 1, so the profile is the sum over i of the rows ([s x] - x)_s at
-    x = c_i."""
-    rows = [[s * x % d - x for s in units(d)] for x in range(d)]
+    u_0 = 1 and each c_i lies in [0, d), so S_c(u_0) = sum(c)."""
     index: Dict[Tuple[int, ...], List[Tuple[int, int, int]]] = {}
-    for c1, c2, c3 in _c_candidates(d):
-        key = tuple([a + b + c for a, b, c in zip(rows[c1], rows[c2], rows[c3])])
-        index.setdefault(key, []).append((c1, c2, c3))
+    for c in _c_candidates(d):
+        total = sum(c)
+        index.setdefault(tuple([x - total for x in unit_brackets(d, c)]), []).append(c)
     return index
 
 
@@ -494,7 +483,7 @@ def find_c(p: HgParam, published: bool = True) -> Optional[Tuple[int, int, int]]
     if not is_regular(p):
         return None
     d, n, pairing = p.d, p.n, [b - a for a, b in zip(p.alphas, p.betas)]
-    sums = [_bracket_sum(pairing, s, d) for s in units(d)]
+    sums = unit_brackets(d, pairing)
     cs = _c_index(d).get(tuple(sums[0] - x for x in sums), ())
     if published:
         return next((c for c in cs if _clause_iv(p, build_f(p, c), True)), None)
@@ -560,7 +549,7 @@ class CriteriaReport:
 def full_report(p: HgParam) -> CriteriaReport:
     if p.d > MAX_D:
         raise ValueError(f"d = {p.d} is above the cap {MAX_D}")
-    hodge = {s: hodge_degrees(p, s) for s in units(p.d)}
+    hodge = hodge_degrees(p)
     regular = is_regular(p)
     um = jordan_blocks(p)
     bm_pass, bullet = bm(p)

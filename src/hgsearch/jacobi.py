@@ -246,8 +246,5 @@ def hodge_newton_report(p: HgParam, ell: int) -> Tuple[Dict[int, List[int]], boo
         raise ValueError("parameter is not regular")
     newton = motive_valuations(p, ell)
     left = sorted(tuple(x - v[0] for x in v) for v in newton.values())
-    right = []
-    for s in units(p.d):
-        h = hodge_degrees(p, s)
-        right.append(tuple(x - h[0] for x in h))
-    return newton, left == sorted(right)
+    right = sorted(tuple(x - h[0] for x in h) for h in hodge_degrees(p).values())
+    return newton, left == right

@@ -1,9 +1,9 @@
 """Arithmetic and combinatorics in Z/dZ and its unit group.
 
 Everything here works with plain ints reduced mod d.  The bracket [x] is
-the representative in [0, d-1]; it is the basic quantity in all the
-combinatorial criteria, so it gets a dedicated helper even though it is
-just ``x % d``.
+the representative in [0, d-1], the basic quantity in all the combinatorial
+criteria; they read its sums over the units from one table per d
+(unit_brackets).
 """
 
 from __future__ import annotations
@@ -52,6 +52,20 @@ def is_prime(m: int) -> bool:
 def units(d: int) -> list[int]:
     """Sorted list of units of Z/dZ."""
     return [x for x in range(1, d) if math.gcd(x, d) == 1]
+
+
+@lru_cache(maxsize=None)
+def _unit_rows(d: int) -> tuple[tuple[int, ...], ...]:
+    """Row x holds [s x] for each unit s, in units(d) order; row 0 is zero."""
+    us = units(d)
+    return tuple(tuple(s * x % d for s in us) for x in range(d))
+
+
+def unit_brackets(d: int, xs: Iterable[int]) -> list[int]:
+    """sum_{x in xs} [s x] for each unit s, in units(d) order, each x reduced
+    mod d: the Hodge degrees and the (D) profile read these sums."""
+    rows = _unit_rows(d)
+    return list(map(sum, zip(rows[0], *(rows[x % d] for x in xs))))
 
 
 @lru_cache(maxsize=64)

@@ -46,8 +46,8 @@ class SearchSpec:
             raise ValueError(f"workers = {self.workers} is not in 1..{MAX_WORKERS}")
         if self.limit is not None and self.limit < 0:
             raise ValueError(f"limit must be >= 0, got {self.limit}")
-        if tuple(sorted(self.partition, reverse=True)) != tuple(self.partition):
-            raise ValueError("partition must be non-increasing")
+        if list(self.partition) != sorted(self.partition, reverse=True) or min(self.partition, default=0) < 1:
+            raise ValueError("partition must be non-increasing, with parts at least 1")
         # Published-mode (D) solves on a fixed pivot basis and is not
         # scaling-invariant, so one orbit member cannot stand for the rest.
         if self.dedup_by_scaling and self.published:

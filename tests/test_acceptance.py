@@ -27,7 +27,6 @@ from hgsearch.criteria import (
     hodge_degrees,
     is_regular,
     jordan_blocks,
-    mean_bracket,
     solve_in_E_basis,
 )
 from hgsearch.jacobi import (
@@ -51,7 +50,7 @@ from hgsearch.tables import (
     reproduce_special,
     row_param,
 )
-from test_criteria import _combine, _reference_is_regular
+from test_criteria import _combine, _mean_bracket, _reference_is_regular
 
 WORKERS = 8
 
@@ -278,7 +277,7 @@ def test_acceptance_7_property_suites():
     for d in range(3, 31):
         for k, a in e_basis_index(d):
             f = epsilon(d, k, a)
-            if len({mean_bracket(f, s) for s in units(d)}) != 1:
+            if len({_mean_bracket(f, s) for s in units(d)}) != 1:
                 checks.append(("mean", d, k, a))
 
     # product formula vs direct summation, exhaustive oracle domain

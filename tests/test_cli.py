@@ -47,6 +47,33 @@ def test_search_dedup_needs_strict(capsys):
     assert main(args + ["--strict-criteria"]) == 0
 
 
+@pytest.mark.parametrize("partition", ["3,0", "4,-1", "0"])
+def test_search_refuses_a_part_below_one(capsys, partition):
+    n = str(sum(int(x) for x in partition.split(",")))
+    assert main(["search", "--n", n, "--partition", partition, "--d-min", "9", "--d-max", "9"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "bad search spec" in err
+
+
+@pytest.mark.parametrize(
+    "args, fmt",
+    [
+        (["search", "--n", "3", "--partition", "3", "--d-min", "9", "--d-max", "9"], "text"),
+        (["check", "--param", "d=9;a=0,0,0;b=1,2,6"], "tsv"),
+        (["tables", "--which", "special"], "tsv"),
+        (["verify-monodromy", "--param", "d=9;a=0,0,0;b=1,2,6"], "tsv"),
+        (["verify-ode", "--param", "d=9;a=0,0,0;b=1,2,6"], "tsv"),
+        (["verify-jacobi", "--param", "d=9;a=0,0,0;b=1,2,6", "--ell", "19"], "tsv"),
+    ],
+    ids=lambda x: x[0] if isinstance(x, list) else x,
+)
+def test_format_a_command_does_not_print_is_refused(capsys, args, fmt):
+    # search prints tsv or json, every other command json or text
+    assert main(args + ["--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice" in err
+
+
 def test_search_checkpoint_mismatch(tmp_path, capsys):
     ck = str(tmp_path / "ck.jsonl")
     args = ["search", "--n", "3", "--partition", "3", "--d-min", "9", "--d-max", "9"]

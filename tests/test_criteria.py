@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from hgsearch.criteria import (
     NonIntegralDegree,
-    _bracket_sum,
     _c_candidates,
     _c_index,
     bm,
@@ -26,7 +26,6 @@ from hgsearch.criteria import (
     hodge_degrees,
     is_regular,
     jordan_blocks,
-    mean_bracket,
     minimal_admissible_subgroup,
     pseudoreflection_det,
     scaling_stabilizer,
@@ -58,13 +57,21 @@ def _candidate_params(d, alphas):
         yield validate(d, alphas, betas)
 
 
+def _mean_bracket(f, s):
+    """<f>(s) = (1/d) sum_a f(a) [s a], exact, for f the tuple of its values
+    at 1..d-1."""
+    d = len(f) + 1
+    return Fraction(sum(v * ((s * a) % d) for a, v in enumerate(f, 1)), d)
+
+
 def test_hodge_degrees_base_case():
     # hand-checkable row: degrees at the identity scaling
-    assert hodge_degrees(P9, 1) == [2, 3, 4]
+    assert hodge_degrees(P9)[1] == [2, 3, 4]
 
 
 def test_hodge_degrees_scaling():
-    degs = {s: sorted(hodge_degrees(P9, s)) for s in units(9)}
+    degs = {s: sorted(v) for s, v in hodge_degrees(P9).items()}
+    assert list(degs) == units(9)
     assert degs[1] == [2, 3, 4]
     # every embedding must also give three distinct degrees
     for s, vals in degs.items():
@@ -311,7 +318,7 @@ def test_mean_bracket_constant_exhaustive():
     for d in range(3, 31):
         for k, a in e_basis_index(d)[:6]:
             f = epsilon(d, k, a)
-            vals = {mean_bracket(f, s) for s in units(d)}
+            vals = {_mean_bracket(f, s) for s in units(d)}
             assert len(vals) == 1, (d, k, a)
 
 
@@ -872,18 +879,22 @@ def test_hodge_degrees_match_double_sum_reference(p):
     if p is None:
         return
     d = p.d
+    want, bad = {}, None
     for s in units(d):
-        want = []
+        degs = []
         for bj in p.betas:
             tot = d * (d - 1) // 2
             tot += sum((s * (bj - a)) % d for a in p.alphas)
             tot -= sum((s * (bj - b)) % d for b in p.betas)
-            want.append(tot // d - 1 if tot % d == 0 else None)
-        if None in want:
-            with pytest.raises(NonIntegralDegree):
-                hodge_degrees(p, s)
-        else:
-            assert hodge_degrees(p, s) == sorted(want)
+            if tot % d != 0 and bad is None:
+                bad = f"d={d} does not divide {tot} at beta={bj}, s={s}"
+            degs.append(tot // d - 1)
+        want[s] = sorted(degs)
+    if bad is not None:
+        with pytest.raises(NonIntegralDegree, match=re.escape(bad)):
+            hodge_degrees(p)
+    else:
+        assert hodge_degrees(p) == want
 
 
 def test_coset_key_separates_cosets():
@@ -1041,6 +1052,6 @@ def test_c_index_matches_per_unit_bracket_sums():
         us = units(d)
         want = {}
         for c in _c_candidates(d):
-            key = tuple(_bracket_sum(c, s, d) - _bracket_sum(c, us[0], d) for s in us)
+            key = tuple(sum((s * x) % d - (us[0] * x) % d for x in c) for s in us)
             want.setdefault(key, []).append(c)
         assert _c_index(d) == want, d

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,7 @@ from hgsearch.residues import (
     is_prime,
     phi,
     prime_divisors,
+    unit_brackets,
     unit_subgroups,
     units,
 )
@@ -192,3 +194,13 @@ def test_gap_masks_intersect_the_gaps_of_every_unit():
     # under s = 1 the gaps of {0, 2} mod 5 are {1} and {3, 4}; under s = 3,
     # 1, 3 and 4 go to 3, 4 and 2, one gap of {0, 1}; s = 2, 4 mirror these
     assert _entries(gap_masks(5, (0, 2)), 5) == [0, 0b00010, 0, 0b11000, 0b11000]
+
+
+def test_unit_brackets_match_double_sum():
+    rng = random.Random(19)
+    for d in [*range(3, 41), 105, 112, 120]:
+        us = units(d)
+        assert unit_brackets(d, []) == [0] * phi(d) == [0] * len(us)
+        drawn = [rng.randint(-3 * d, 3 * d) for _ in range(rng.randint(1, 7))]
+        for xs in ([0], [1], [-1, -1, d + 2], [d - 1, -d, 2 * d + 3, -1, -1], drawn, drawn + drawn):
+            assert unit_brackets(d, xs) == [sum((s * x) % d for x in xs) for s in us], (d, xs)

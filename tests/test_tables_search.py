@@ -130,6 +130,15 @@ def test_search_spec_refuses_a_negative_limit():
     assert run_search(SearchSpec(n=3, partition=(3,), d_min=9, d_max=9, limit=0)) == []
 
 
+def test_search_spec_refuses_a_part_below_one():
+    # a zero part once listed each chunk d - 1 times, and a negative one
+    # searched more alphas than n
+    for n, partition in ((3, (3, 0)), (3, (4, -1)), (0, (0,)), (0, ())):
+        with pytest.raises(ValueError, match="at least 1"):
+            SearchSpec(n=n, partition=partition, d_min=9, d_max=9)
+    assert SearchSpec(n=3, partition=(2, 1), d_min=9, d_max=9).partition == (2, 1)
+
+
 def test_search_spec_refuses_a_bad_worker_count():
     # only constructed, never run: no pool of these sizes is started
     from hgsearch.params import MAX_WORKERS
