@@ -45,7 +45,9 @@ def hodge_degrees(p: HgParam) -> Dict[int, List[int]]:
     """Degrees p_j, one per beta_j, for the parameter scaled by each unit s.
 
     d*(p_j + 1) = C(d,2) + sum_i [s b_j - s a_i] - sum_i [s b_j - s b_i].
-    Each list is sorted ascending, with multiplicity.
+    Each list is sorted ascending, with multiplicity.  Mod d that is
+    C(d,2) - s*(sum(a) - sum(b)), so NonIntegralDegree is raised only on an
+    HgParam built without validate that breaks the sum rule.
     """
     d = p.d
     out: Dict[int, List[int]] = {s: [] for s in units(d)}
@@ -83,6 +85,18 @@ def is_regular(p: HgParam) -> bool:
     for b in p.betas:
         bits |= 1 << b
     return bits & allowed == bits
+
+
+def regular_room(d: int, alphas: Tuple[int, ...]) -> List[bool]:
+    """For each residue x, whether x's entry of gap_masks(d, alphas) holds
+    at least n residues >= x.  A regular parameter's betas all lie in b_1's
+    entry, and b_1 is the least beta, so False at b_1 rules out (R); True
+    leaves the decision to is_regular.  A search chunk builds the list once
+    and asks is_regular only about the candidates it lets through."""
+    table, n, full = gap_masks(d, alphas), len(alphas), (1 << d) - 1
+    # mask the entry first: shifting by x*d + x at once would pull in
+    # the low bits of entry x + 1
+    return [((table >> (x * d) & full) >> x).bit_count() >= n for x in range(d)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .criteria import bm, bm_published, find_c, is_regular
+from .criteria import bm, bm_published, find_c, is_regular, regular_room
 from .params import MAX_D, MAX_N, MAX_WORKERS, HgParam, canonical_form, validate
 
 
@@ -61,8 +61,9 @@ class SearchSpec:
 
 
 class CheckpointError(ValueError):
-    """A checkpoint that cannot be resumed: a corrupt line, or records
-    written under a different search spec."""
+    """A checkpoint that cannot be resumed or written: a path that cannot
+    be opened, a corrupt line, or records written under a different
+    search spec."""
 
 
 def enumerate_alphas(d: int, partition: Sequence[int]) -> Iterator[Tuple[int, ...]]:
@@ -128,10 +129,11 @@ def search_chunk(args) -> Tuple[str, List[dict]]:
     """Worker: all passing parameters for one (d, alpha-shape) chunk."""
     d, alphas, limit, published = args
     required = (sum(alphas) - d * (d - 1) // 2) % d
+    room = regular_room(d, alphas)
     out: List[dict] = []
     for betas in enumerate_betas(d, len(alphas), required, set(alphas)):
         p = validate(d, alphas, betas)
-        if not is_regular(p):
+        if not (room[betas[0]] and is_regular(p)):
             continue
         if not (bm_published(p) if published else bm(p)[0]):
             continue
@@ -153,8 +155,11 @@ def _load_checkpoint(path: Optional[str], fingerprint: dict) -> Dict[str, List[d
     done: Dict[str, List[dict]] = {}
     if not (path and os.path.exists(path)):
         return done
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines(keepends=True)
+    try:
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read: {exc.strerror}") from exc
     last = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
     good_end = 0
     for i, line in enumerate(lines[: last + 1]):
@@ -185,7 +190,10 @@ def run_search(spec: SearchSpec) -> List[dict]:
             chunks.append((d, alphas, fingerprint["limit"], fingerprint["published"]))
     done = _load_checkpoint(spec.checkpoint, fingerprint)
     todo = [c for c in chunks if _chunk_key(c[0], c[1]) not in done]
-    ckpt = open(spec.checkpoint, "a") if spec.checkpoint else None
+    try:
+        ckpt = open(spec.checkpoint, "a") if spec.checkpoint else None
+    except OSError as exc:
+        raise CheckpointError(f"{spec.checkpoint}: cannot open: {exc.strerror}") from exc
 
     def record(key: str, results: List[dict]) -> None:
         done[key] = results

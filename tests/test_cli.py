@@ -83,6 +83,18 @@ def test_search_checkpoint_mismatch(tmp_path, capsys):
     assert "bad checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+def test_search_checkpoint_that_cannot_be_opened(tmp_path, capsys, where):
+    # a directory fails when the checkpoint is read, a file in a missing
+    # directory when it is opened for the new records
+    ck = tmp_path if where == "a directory" else tmp_path / "missing" / "ck.jsonl"
+    args = ["search", "--n", "3", "--partition", "3", "--d-max", "9", "--checkpoint", str(ck)]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("bad checkpoint: ") and str(ck) in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_verify_monodromy(capsys):
     rc = main(["verify-monodromy", "--param", "d=9;a=0,0,0;b=1,2,6"])
     out = json.loads(capsys.readouterr().out)

@@ -28,12 +28,13 @@ from hgsearch.criteria import (
     jordan_blocks,
     minimal_admissible_subgroup,
     pseudoreflection_det,
+    regular_room,
     scaling_stabilizer,
     solve_in_E,
     solve_in_E_basis,
 )
 from hgsearch.intlattice import NoSolution, smith_form
-from hgsearch.params import HgParam, canonical_form, parse, scale, scaling_orbit, validate
+from hgsearch.params import HgParam, SumMismatch, canonical_form, parse, scale, scaling_orbit, validate
 from hgsearch.residues import (
     UnitSubgroup,
     complements,
@@ -190,6 +191,43 @@ def test_is_regular_matches_definition_up_to_d30_across_cache_evictions():
     assert gap_masks.cache_info().misses > len(keys)
     assert min(seen.values()) > 400, seen
     assert any(p.d == 30 and p.n == 4 and len(set(p.alphas)) == 2 and is_regular(p) for p in params)
+
+
+def _partitions(n, top):
+    """The partitions of n with parts at most top, non-increasing."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, top), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def test_regular_room_drops_no_regular_candidate():
+    cases = [(n, part, d) for n in range(3, 7) for part in _partitions(n, n) for d in range(n + 1, 14)]
+    cases.append((6, (3, 2, 1), 20))
+    candidates = let_through = tight = 0
+    for n, part, d in cases:
+        for alphas in enumerate_alphas(d, part):
+            room = regular_room(d, alphas)
+            table, full = gap_masks(d, alphas), (1 << d) - 1
+            regular, passed = set(), set()
+            for p in _candidate_params(d, alphas):
+                candidates += 1
+                b1, regular_p = p.betas[0], is_regular(p)
+                if regular_p:
+                    regular.add(p.betas)
+                    # b_1's entry holds exactly the n betas at or above b_1
+                    tight += ((table >> (b1 * d) & full) >> b1).bit_count() == n
+                if room[b1]:
+                    let_through += 1
+                    if regular_p:
+                        passed.add(p.betas)
+            assert passed == regular, (d, alphas)
+    # the bound is reached, so room may not ask for one residue more, and
+    # the list rules out most candidates
+    assert tight > 0
+    assert 10 * let_through < candidates
 
 
 @settings(max_examples=400, deadline=None)
@@ -895,6 +933,22 @@ def test_hodge_degrees_match_double_sum_reference(p):
             hodge_degrees(p)
     else:
         assert hodge_degrees(p) == want
+
+
+def test_hodge_degrees_raise_only_on_a_broken_sum_rule():
+    """d*(p_j + 1) = C(d,2) - s*(sum(a) - sum(b)) mod d, and s*C(d,2) = C(d,2)
+    for a unit s, so the degrees are integers exactly when the sum rule
+    holds.  validate refuses a parameter that breaks it, so only an HgParam
+    built without validate can raise NonIntegralDegree, and it raises at
+    s = 1."""
+    d, alphas, betas = 9, (0, 0, 0), (1, 2, 7)
+    with pytest.raises(SumMismatch):
+        validate(d, alphas, betas)
+    tot = d * (d - 1) // 2 + sum((1 - a) % d for a in alphas) - sum((1 - b) % d for b in betas)
+    with pytest.raises(NonIntegralDegree, match=re.escape(f"d={d} does not divide {tot} at beta=1, s=1")):
+        hodge_degrees(HgParam(d, alphas, betas))
+    # one residue moved back onto the sum rule, and every degree is whole
+    assert hodge_degrees(HgParam(d, alphas, (1, 2, 6)))[1] == [2, 3, 4]
 
 
 def test_coset_key_separates_cosets():

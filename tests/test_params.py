@@ -1,7 +1,8 @@
+import math
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hgsearch.cli import main
 from hgsearch.params import (
@@ -98,6 +99,89 @@ def test_cli_reports_validation_error_on_stderr(alphas, betas, c, cls, message, 
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"bad parameter literal: {message}\n"
+
+
+def _reference_validate(d, alphas, betas, c=None):
+    """validate as reduce mod d, then sort, then check every clause."""
+    if d < 3:
+        raise ValidationError("modulus")
+    n = len(alphas)
+    if len(betas) != n or not 0 < n < d:
+        raise ValidationError("length")
+    a = tuple(sorted(x % d for x in alphas))
+    b = tuple(sorted(x % d for x in betas))
+    if len(set(b)) != n:
+        raise BetaRepeat(b)
+    if set(a) & set(b):
+        raise AlphaBetaCollision(a, b)
+    if (sum(a) - sum(b) - math.comb(d, 2)) % d:
+        raise SumMismatch(a, b)
+    if c is None:
+        return HgParam(d, a, b)
+    if len(c) != 3:
+        raise BadCTriple(c)
+    cc = tuple(sorted(x % d for x in c))
+    if sum(cc) % d or (0 in cc and any(cc)):
+        raise BadCTriple(cc)
+    return HgParam(d, a, b, cc)
+
+
+@st.composite
+def _raw_validate_args(draw):
+    """(d, alphas, betas, c) with entries in [0, d), negative, >= d or a mix
+    of these.  The residues mostly meet the rules: lengths that differ, a
+    repeated beta, an alpha among the betas and a broken sum rule each turn
+    up in a fraction of the draws."""
+    d = draw(st.integers(3, 30))
+    n = draw(st.integers(1, min(7, d - 1)))
+    if draw(st.integers(0, 15)) == 0:
+        d, n = draw(st.sampled_from([(2, 1), (5, 0), (5, 5), (4, 4)]))
+    residues = st.lists(st.integers(0, d - 1), min_size=n, max_size=n, unique=draw(st.integers(0, 3)) > 0)
+    betas = draw(residues)
+    others = sorted(set(range(d)) - set(betas))
+    if others and draw(st.integers(0, 3)) > 0:
+        residues = st.lists(st.sampled_from(others), min_size=n, max_size=n)
+    alphas = draw(residues)
+    if alphas and draw(st.integers(0, 3)) > 0:
+        alphas[-1] = (math.comb(d, 2) + sum(betas) - sum(alphas[:-1])) % d
+    if draw(st.integers(0, 7)) == 0:
+        betas.append(draw(st.integers(0, d - 1)))
+    size = draw(st.sampled_from([None, None, 3, 3, 3, 2, 4]))
+    c = None if size is None else draw(st.lists(st.integers(0, d - 1), min_size=size, max_size=size))
+    if c and draw(st.booleans()):
+        c[-1] = -sum(c[:-1]) % d
+    shifts = draw(st.sampled_from([[0], [-3, -2, -1], [1, 2, 3], [-2, -1, 0, 1, 2]]))
+    lift = st.sampled_from(shifts).map(lambda k: k * d)
+    alphas, betas = ([x + draw(lift) for x in xs] for xs in (alphas, betas))
+    if c is not None:
+        c = [x + draw(lift) for x in c]
+    return d, alphas, betas, c
+
+
+@settings(max_examples=600, deadline=None)
+@given(_raw_validate_args())
+@example((9, [0, 0], [1, 10], None))
+@example((9, [0, 0, 0], [-8, 2, 6], None))
+@example((9, [0, 0, 0], [1, 2, 6], [12, -1, 8]))
+def test_validate_matches_reduce_then_sort(args):
+    # residues already in [0, d) skip the reduction; the result and the
+    # error class are those of reducing every residue first
+    try:
+        want = _reference_validate(*args)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as info:
+            validate(*args)
+        assert type(info.value) is type(exc)
+    else:
+        got = validate(*args)
+        assert got == want and type(got) is HgParam and got.c == want.c
+
+
+def test_validate_reduces_a_repeat_out_of_range():
+    # 1 and 10 are distinct integers but the same residue mod 9
+    with pytest.raises(BetaRepeat):
+        validate(9, [0, 0], [1, 10])
+    assert validate(9, [9, 0, -9], [-8, 11, 15]) == validate(9, [0, 0, 0], [1, 2, 6])
 
 
 def test_hg_param_public_behaviour():

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from hgsearch.criteria import bm, det_condition, is_regular, jordan_blocks
+from hgsearch import search
+from hgsearch.criteria import bm, det_condition, is_regular, jordan_blocks, regular_room
 from hgsearch.params import canonical_form, validate
 from hgsearch.search import (
     CheckpointError,
@@ -148,6 +149,27 @@ def test_search_spec_refuses_a_bad_worker_count():
             SearchSpec(n=3, partition=(3,), d_min=9, d_max=9, workers=workers)
     for workers in (1, MAX_WORKERS):
         assert SearchSpec(n=3, partition=(3,), d_min=9, d_max=9, workers=workers).workers == workers
+
+
+@pytest.mark.parametrize("part, d, candidates, let_through", [((3, 2, 1), 11, 240, 0), ((3, 3), 12, 198, 67)])
+def test_search_validates_every_candidate_and_asks_r_past_the_room(monkeypatch, part, d, candidates, let_through):
+    # one validate call per candidate of the brute-force list, and is_regular
+    # only on the candidates whose least beta regular_room lets through
+    validated, asked = [], []
+    real_validate, real_is_regular = search.validate, search.is_regular
+    monkeypatch.setattr(search, "validate", lambda *a: validated.append(a[1:3]) or real_validate(*a))
+    monkeypatch.setattr(search, "is_regular", lambda p: asked.append(p) or real_is_regular(p))
+    run_search(SearchSpec(n=6, partition=part, d_min=d, d_max=d))
+    want, room_ok = [], []
+    for alphas in enumerate_alphas(d, part):
+        room = regular_room(d, alphas)
+        for betas in itertools.combinations(range(d), 6):
+            if not set(betas) & set(alphas) and (sum(alphas) - sum(betas) - d * (d - 1) // 2) % d == 0:
+                want.append((alphas, betas))
+                if room[betas[0]]:
+                    room_ok.append((alphas, betas))
+    assert sorted(validated) == sorted(want) and len(want) == candidates
+    assert [(p.alphas, p.betas) for p in asked] == room_ok and len(room_ok) == let_through
 
 
 def test_search_deterministic_across_worker_counts():
