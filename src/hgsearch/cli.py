@@ -87,12 +87,7 @@ def _cmd_search(args) -> int:
     if args.format == "tsv":
         print("n\td\talpha\tbeta\tc")
         for r in results:
-            c = ",".join(map(str, r["c"])) if r["c"] is not None else "-"
-            print(
-                f"{args.n}\t{r['d']}\t"
-                f"{','.join(map(str, r['alpha']))}\t"
-                f"{','.join(map(str, r['beta']))}\t{c}"
-            )
+            print(args.n, r["d"], *(",".join(map(str, r[k])) for k in ("alpha", "beta", "c")), sep="\t")
     else:
         _emit({"results": results}, "json")
     return 0
@@ -169,13 +164,14 @@ def _cmd_verify_ode(args) -> int:
 
 
 def _cmd_verify_jacobi(args) -> int:
-    from .jacobi import hodge_newton_report
+    from .jacobi import hodge_newton_report, least_prime_above
 
     p = _verify_param(args.param)
     if p is None:
         return 2
+    ell = least_prime_above(p.d) if args.ell is None else args.ell
     try:
-        vals, match = hodge_newton_report(p, args.ell)
+        vals, match = hodge_newton_report(p, ell)
     except ValueError as exc:
         print(f"bad jacobi check: {exc}", file=sys.stderr)
         return 2
@@ -240,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-jacobi", help="l-adic valuations vs Hodge degrees")
     sp.add_argument("--param", required=True)
-    sp.add_argument("--ell", type=int, required=True)
+    sp.add_argument("--ell", type=int, default=None, help="a prime = 1 mod d; default the least one")
     add_fmt(sp)
     sp.set_defaults(func=_cmd_verify_jacobi)
 

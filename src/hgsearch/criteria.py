@@ -112,40 +112,31 @@ def pseudoreflection_det(d: int) -> int:
     return 1 if d % 2 == 1 else -1
 
 
-def _moved(vals: Sequence[int], sign: int, s: int, d: int) -> Tuple[int, ...]:
-    """The multiset {sign v + s mod d}, as a sorted tuple like the alphas
-    and betas of a parameter."""
-    return tuple(sorted((sign * v + s) % d for v in vals))
-
-
-def _bm_shared(p: HgParam) -> Optional[int]:
-    """Bullet 1 or 3 of bm, whichever fails first, or None: the bullets
-    that bm and bm_published share.  A translation s fixing the betas
-    moves b_0 onto some other b_j, so s = b_j - b_0 with j > 0; the betas
-    are distinct and reject sooner, so they are tested first."""
-    d, a, b = p.d, p.alphas, p.betas
-    if len(set(a)) >= p.n:
-        return 1
-    if any(_moved(b, 1, bj - b[0], d) == b and _moved(a, 1, bj - b[0], d) == a for bj in b[1:]):
-        return 3
-    return None
+def _fixes(p: HgParam, sign: int, t: int) -> bool:
+    """Whether x -> sign x + t mod d maps the betas and the alphas, as
+    multisets, onto themselves; the betas are distinct and reject sooner.
+    Such a map sends b_0 to some b_j, so bm tries only t = b_j - sign b_0."""
+    return all(tuple(sorted((sign * x + t) % p.d for x in xs)) == xs for xs in (p.betas, p.alphas))
 
 
 def bm(p: HgParam) -> Tuple[bool, Optional[int]]:
-    """Criterion (BM).  Returns (pass, failed_bullet or None).
+    """Criterion (BM).  Returns (pass, first failed bullet or None).
 
     Bullets: (1) some alpha value repeats; (2) beta is not an arithmetic
     progression; (3) no nonzero translation fixes both multisets; (4) no s,
     including 0, with {-a-s} = {a+s} and {-b-s} = {b+s}, that is, with
-    {-a-2s} = {a} and {-b-2s} = {b}.
+    x -> -x - 2s fixing both.  Bullet 4 tries every t = b_0 + b_j as -2s:
+    for even d an odd t would pair off each multiset, so sum(a) = sum(b)
+    mod d, against the sum rule, C(d,2) = d/2 mod d.
     """
-    d, a, b = p.d, p.alphas, p.betas
-    shared = _bm_shared(p)
-    if shared != 1 and is_cyclic_ap(b, d):
+    b = p.betas
+    if len(set(p.alphas)) >= p.n:
+        return False, 1
+    if is_cyclic_ap(b, p.d):
         return False, 2
-    if shared is not None:
-        return False, shared
-    if any(_moved(b, -1, -2 * s, d) == b and _moved(a, -1, -2 * s, d) == a for s in range(d)):
+    if any(_fixes(p, 1, bj - b[0]) for bj in b[1:]):
+        return False, 3
+    if any(_fixes(p, -1, b[0] + bj) for bj in b):
         return False, 4
     return True, None
 
@@ -520,8 +511,16 @@ def bm_published(p: HgParam) -> bool:
     stated, reject several rows that the published tables list as passing
     (see tables.KNOWN_BM_DISCREPANCIES), so the tables can only be
     reproduced without them.
+
+    Under (R) bullet 3 cannot fail.  Under s = 1 the alphas lie in one gap
+    between cyclically consecutive betas, say after b_i.  A translation
+    t != 0 fixing the betas keeps their cyclic order, so it moves that gap
+    onto the one after b_i + t != b_i, disjoint from it, and cannot fix the
+    alphas.  On a regular parameter this filter is bullet 1 alone, which
+    reads only the alphas.
     """
-    return _bm_shared(p) is None
+    b = p.betas
+    return len(set(p.alphas)) < p.n and not any(_fixes(p, 1, bj - b[0]) for bj in b[1:])
 
 
 # ---------------------------------------------------------------------------

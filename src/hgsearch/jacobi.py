@@ -183,18 +183,11 @@ def _hensel_roots(ctx: PrimeFieldCtx, prec: int) -> Dict[int, int]:
     g^{s(l-1)/d}, with g the generator of ctx, the one its character uses.
     l is 1 mod d, so it does not divide d: each root mod l is simple and
     lifts uniquely, and the lift of g^{s(l-1)/d} is the s-th power of the
-    lift of g^{(l-1)/d}."""
+    lift of x = g^{(l-1)/d}, the Teichmueller lift x^{l^(prec-1)}: it is x
+    mod l (Fermat), and (x^d)^{l^(prec-1)} = 1 mod l^prec as x^d = 1 mod l."""
     d, ell = ctx.d, ctx.ell
-    x = pow(ctx.g, (ell - 1) // d, ell)
-    k = 1
-    while k < prec:
-        k = min(2 * k, prec)
-        m = ell ** k
-        # Newton step for x^d - 1
-        fx = (pow(x, d, m) - 1) % m
-        dfx = d * pow(x, d - 1, m) % m
-        x = (x - fx * pow(dfx, -1, m)) % m
     mod = ell ** prec
+    x = pow(pow(ctx.g, (ell - 1) // d, ell), ell ** (prec - 1), mod)
     return {s: pow(x, s, mod) for s in units(d)}
 
 

@@ -146,12 +146,20 @@ def search_chunk(args) -> Tuple[str, List[dict]]:
     return _chunk_key(d, alphas), out
 
 
+def _is_row(r) -> bool:
+    """Whether a checkpoint result row is a dict with an integer d and
+    integer lists alpha, beta and c, as search_chunk writes it."""
+    return isinstance(r, dict) and isinstance(r.get("d"), int) and all(
+        isinstance(v, list) and all(isinstance(x, int) for x in v) for v in map(r.get, ("alpha", "beta", "c"))
+    )
+
+
 def _load_checkpoint(path: Optional[str], fingerprint: dict) -> Dict[str, List[dict]]:
     """Chunk results recorded at path.  A last line that does not parse, or
     lacks its newline, is a write cut short: it is dropped, and cut from the
     file so that new records start on a line of their own.  A bad line
-    anywhere else, or a record written under another fingerprint, raises
-    CheckpointError."""
+    anywhere else, a record written under another fingerprint, or one of
+    the wrong shape (see _is_row) raises CheckpointError."""
     done: Dict[str, List[dict]] = {}
     if not (path and os.path.exists(path)):
         return done
@@ -175,7 +183,10 @@ def _load_checkpoint(path: Optional[str], fingerprint: dict) -> Dict[str, List[d
         spec = rec.get("spec") if isinstance(rec, dict) else None
         if spec != fingerprint:
             raise CheckpointError(f"{path}: line {i + 1} was written with {spec}, not {fingerprint}")
-        done[rec["key"]] = rec["results"]
+        rows = rec.get("results")
+        if not (isinstance(rec.get("key"), str) and isinstance(rows, list) and all(map(_is_row, rows))):
+            raise CheckpointError(f"{path}: line {i + 1} is not a chunk key with a list of result rows")
+        done[rec["key"]] = rows
         good_end += len(line)
     return done
 

@@ -95,6 +95,25 @@ def test_search_checkpoint_that_cannot_be_opened(tmp_path, capsys, where):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize(
+    "results",
+    [None, 5, [{"d": 9, "beta": [1, 2, 6], "c": [0, 0, 0]}]],
+    ids=["no results", "results not a list", "a row without alpha"],
+)
+def test_search_checkpoint_record_of_the_wrong_shape(tmp_path, capsys, results):
+    ck = tmp_path / "ck.jsonl"
+    rec = {"key": "9:0,0,0", "spec": {"published": True, "limit": None}}
+    if results is not None:
+        rec["results"] = results
+    ck.write_text(json.dumps(rec) + "\n")
+    args = ["search", "--n", "3", "--partition", "3", "--d-min", "9", "--d-max", "9", "--checkpoint", str(ck)]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("bad checkpoint: ") and "line 1" in err
+    # the refused record is left as it was
+    assert ck.read_text() == json.dumps(rec) + "\n"
+
+
 def test_verify_monodromy(capsys):
     rc = main(["verify-monodromy", "--param", "d=9;a=0,0,0;b=1,2,6"])
     out = json.loads(capsys.readouterr().out)
@@ -125,6 +144,20 @@ def test_verify_jacobi(capsys):
     assert rc == 0
     assert out["hodge_match"] is True
     assert "1" in out["embeddings"]
+
+
+def test_verify_jacobi_defaults_to_the_least_prime(capsys):
+    from hgsearch.jacobi import least_prime_above
+    from hgsearch.tables import SPECIAL_ROWS, row_param
+
+    for row in SPECIAL_ROWS:
+        p = row_param(row)
+        args = ["verify-jacobi", "--param", p.literal()]
+        rc = main(args)
+        out = capsys.readouterr().out
+        assert rc == 0, p.literal()
+        assert main(args + ["--ell", str(least_prime_above(p.d))]) == rc, p.literal()
+        assert capsys.readouterr().out == out, p.literal()
 
 
 @pytest.mark.parametrize(

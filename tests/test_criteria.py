@@ -1101,6 +1101,70 @@ def test_bm_matches_reference_bullets():
     assert bm(p) == (False, 3) and not bm_published(p)
 
 
+def _draw_translated(rng, d, k, n):
+    """A random valid parameter of modulus d and length n fixed by the
+    translation by d/k, with a repeated alpha, or None when the draw breaks
+    a clause.  The base residues lie in [0, d/k), and the translates add
+    the same to the sums of the alphas and the betas, so the sum rule asks
+    k (sum of base alphas - sum of base betas) = C(d,2) mod d."""
+    m, base = d // k, n // k
+    betas = rng.sample(range(m), base)
+    alphas = [rng.randrange(m)] * (base - 1)
+    lasts = [x for x in range(m) if (k * (sum(alphas) + x - sum(betas)) - d * (d - 1) // 2) % d == 0]
+    if not lasts:
+        return None
+    alphas = sorted(a + j * m for a in alphas + [rng.choice(lasts)] for j in range(k))
+    betas = sorted(b + j * m for b in betas for j in range(k))
+    return None if set(alphas) & set(betas) else HgParam(d, tuple(alphas), tuple(betas))
+
+
+def test_bm_matches_counter_reference_up_to_d60():
+    # seeded draws with d <= 60 and n <= 7: plain ones, ones with a single
+    # alpha value (often regular), and ones fixed by a translation, which
+    # bullet 3 needs; _counter_bm tries every t != 0 and every s
+    rng = random.Random(60)
+    seen, regular = Counter(), 0
+    for i in range(6000):
+        d = rng.randint(3, 60)
+        n = rng.randint(1, min(7, d - 1))
+        if i % 3 == 0:
+            p = _draw_param(rng, d, n)
+        elif i % 3 == 1:
+            p = _draw_param(rng, d, n, rng.randrange(d))
+        else:
+            k = rng.choice([k for k in (2, 3) if d % k == 0 and n >= 2 * k] or [None])
+            p = _draw_translated(rng, d, k, n - n % k) if k else None
+        if p is None:
+            continue
+        want, shared = _counter_bm(p)
+        assert bm(p) == want, p.literal()
+        assert bm_published(p) == (shared is None), p.literal()
+        seen[want[1]] += 1
+        regular += is_regular(p)
+    assert all(seen[k] for k in (None, 1, 2, 3, 4)), seen
+    assert regular > 1000, regular
+
+
+def test_no_translation_fixes_a_regular_candidate():
+    # bm_published's proof: under (R) bullet 3 cannot fail, so on the
+    # search path the filter is bullet 1 alone
+    cases = [(n, part, d) for n in range(2, 7) for part in _partitions(n) for d in range(n + 1, 15)]
+    cases.append((6, (3, 2, 1), 20))
+    seen = Counter()
+    for n, part, d in cases:
+        for alphas in enumerate_alphas(d, part):
+            room = regular_room(d, alphas)
+            for p in _candidate_params(d, alphas):
+                if not (room[p.betas[0]] and is_regular(p)):
+                    continue
+                for t in range(1, d):
+                    moved = [tuple(sorted((x + t) % d for x in xs)) for xs in (p.alphas, p.betas)]
+                    assert moved != [p.alphas, p.betas], (p.literal(), t)
+                assert bm_published(p) == (len(set(p.alphas)) < n), p.literal()
+                seen[bm_published(p)] += 1
+    assert seen[True] > 900 and seen[False] > 200, seen
+
+
 def test_c_index_matches_per_unit_bracket_sums():
     for d in [*range(3, 41), 105, 112, 120]:
         us = units(d)
