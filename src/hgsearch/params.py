@@ -81,12 +81,6 @@ class HgParam(NamedTuple):
     def __str__(self) -> str:
         return self.literal()
 
-    def with_c(self, c: Optional[Sequence[int]]) -> "HgParam":
-        return validate(self.d, self.alphas, self.betas, c)
-
-    def drop_c(self) -> "HgParam":
-        return HgParam(self.d, self.alphas, self.betas, None)
-
 
 def validate(
     d: int,
@@ -188,4 +182,4 @@ def scaling_orbit(p: HgParam) -> list[HgParam]:
 
 def canonical_form(p: HgParam) -> HgParam:
     """Lexicographically least (alphas, betas) in the scaling orbit."""
-    return min(scaling_orbit(p), key=lambda q: (q.alphas, q.betas))
+    return scaling_orbit(p)[0]

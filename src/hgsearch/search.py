@@ -2,9 +2,10 @@
 
 Staged filtering (regularity, then big monodromy, then the determinant
 criterion with its c-search), parallelized over (d, alpha-shape) chunks,
-with a resumable plain-text checkpoint.  Output order is deterministic
-and independent of the worker count.  Dedup by scaling is one pass over
-the merged, sorted results: it keeps each orbit's least passing member.
+with a resumable plain-text checkpoint.  Chunks run to their end and the
+answers are read from the merged, sorted results, so none depends on the
+candidate order or the worker count.  Dedup by scaling is one pass over
+them: it keeps each orbit's least passing member.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .criteria import bm, bm_published, find_c, is_regular, regular_room
-from .params import MAX_D, MAX_N, MAX_WORKERS, HgParam, canonical_form, validate
+from .params import MAX_D, MAX_N, MAX_WORKERS, HgParam, canonical_form, parse, validate
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,9 @@ class SearchSpec:
             raise ValueError("dedup by scaling needs the strict criteria")
 
     def fingerprint(self) -> dict:
-        """The settings besides the chunk key that change a chunk's results.
-        An orbit's members can lie in different chunks, so under dedup a
-        chunk cannot tell which of its rows survive, and runs unlimited."""
-        return {"published": self.published, "limit": None if self.dedup_by_scaling else self.limit}
+        """The settings besides the chunk key that change a chunk's results."""
+        # every chunk runs to its end; the null limit keeps earlier unlimited records
+        return {"published": self.published, "limit": None}
 
 
 class CheckpointError(ValueError):
@@ -127,7 +127,7 @@ def _chunk_key(d: int, alphas: Tuple[int, ...]) -> str:
 
 def search_chunk(args) -> Tuple[str, List[dict]]:
     """Worker: all passing parameters for one (d, alpha-shape) chunk."""
-    d, alphas, limit, published = args
+    d, alphas, published = args
     required = (sum(alphas) - d * (d - 1) // 2) % d
     room = regular_room(d, alphas)
     out: List[dict] = []
@@ -141,25 +141,27 @@ def search_chunk(args) -> Tuple[str, List[dict]]:
         if c is None:
             continue
         out.append({"d": d, "alpha": list(p.alphas), "beta": list(p.betas), "c": list(c)})
-        if limit is not None and len(out) >= limit:
-            break
     return _chunk_key(d, alphas), out
 
 
-def _is_row(r) -> bool:
-    """Whether a checkpoint result row is a dict with an integer d and
-    integer lists alpha, beta and c, as search_chunk writes it."""
-    return isinstance(r, dict) and isinstance(r.get("d"), int) and all(
-        isinstance(v, list) and all(isinstance(x, int) for x in v) for v in map(r.get, ("alpha", "beta", "c"))
-    )
+def _is_row_of(key: str, r) -> bool:
+    """Whether a checkpoint result row is one search_chunk writes for the
+    chunk key: its literal parses, validate included, to the row exactly as
+    written, with a c, and its d and alpha give the key."""
+    try:
+        p = parse(HgParam(r["d"], r["alpha"], r["beta"], r["c"]).literal())
+        row = {"d": p.d, "alpha": list(p.alphas), "beta": list(p.betas), "c": list(p.c)}
+        return r == row and _chunk_key(p.d, p.alphas) == key
+    except (KeyError, TypeError, ValueError):
+        return False
 
 
 def _load_checkpoint(path: Optional[str], fingerprint: dict) -> Dict[str, List[dict]]:
     """Chunk results recorded at path.  A last line that does not parse, or
     lacks its newline, is a write cut short: it is dropped, and cut from the
     file so that new records start on a line of their own.  A bad line
-    anywhere else, a record written under another fingerprint, or one of
-    the wrong shape (see _is_row) raises CheckpointError."""
+    anywhere else, a record written under another fingerprint, or one with
+    a row that is not of its key (see _is_row_of) raises CheckpointError."""
     done: Dict[str, List[dict]] = {}
     if not (path and os.path.exists(path)):
         return done
@@ -183,10 +185,10 @@ def _load_checkpoint(path: Optional[str], fingerprint: dict) -> Dict[str, List[d
         spec = rec.get("spec") if isinstance(rec, dict) else None
         if spec != fingerprint:
             raise CheckpointError(f"{path}: line {i + 1} was written with {spec}, not {fingerprint}")
-        rows = rec.get("results")
-        if not (isinstance(rec.get("key"), str) and isinstance(rows, list) and all(map(_is_row, rows))):
+        key, rows = rec.get("key"), rec.get("results")
+        if not (isinstance(key, str) and isinstance(rows, list) and all(_is_row_of(key, r) for r in rows)):
             raise CheckpointError(f"{path}: line {i + 1} is not a chunk key with a list of result rows")
-        done[rec["key"]] = rows
+        done[key] = rows
         good_end += len(line)
     return done
 
@@ -198,7 +200,7 @@ def run_search(spec: SearchSpec) -> List[dict]:
     chunks = []
     for d in range(max(spec.d_min, spec.n + 1), spec.d_max + 1):
         for alphas in enumerate_alphas(d, spec.partition):
-            chunks.append((d, alphas, fingerprint["limit"], fingerprint["published"]))
+            chunks.append((d, alphas, spec.published))
     done = _load_checkpoint(spec.checkpoint, fingerprint)
     todo = [c for c in chunks if _chunk_key(c[0], c[1]) not in done]
     try:
@@ -257,10 +259,10 @@ def passing_moduli(
 
 
 def find_witness(n: int, partition: Tuple[int, ...], d: int) -> Optional[dict]:
-    """First passing parameter for a single modulus, scanning in the
-    deterministic enumeration order."""
-    for alphas in enumerate_alphas(d, partition):
-        key, results = search_chunk((d, alphas, 1, True))
+    """The least passing parameter (published criteria) at one modulus: the
+    least row of the first alpha shape, in sorted order, that has one."""
+    for alphas in sorted(enumerate_alphas(d, partition)):
+        results = search_chunk((d, alphas, True))[1]
         if results:
-            return results[0]
+            return min(results, key=lambda r: r["beta"])
     return None

@@ -137,7 +137,7 @@ def test_acceptance_3_negative_partitions():
             and bm_finite(p, full_units)
         )
         if not member_ok:
-            uncertified.append(p.with_c(c).literal())
+            uncertified.append(validate(p.d, p.alphas, p.betas, c).literal())
     layers_ok = (
         verify_levelt(rep)
         and all(verify_annihilation(rep, j, 30) for j in range(1, rep.n + 1))
@@ -167,7 +167,7 @@ def test_acceptance_4_monodromy_oracle():
     rank one with the parity-determined determinant, and unipotent blocks
     at infinity matching the alpha multiplicities."""
     t0 = time.time()
-    bad = [row for row in SPECIAL_ROWS if not verify_levelt(row_param(row).drop_c())]
+    bad = [row for row in SPECIAL_ROWS if not verify_levelt(row_param(row))]
     elapsed = time.time() - t0
     ok = not bad and elapsed < 60
     _line(4, ok, f"19 rows verified in {elapsed:.1f}s")

@@ -97,8 +97,27 @@ def test_search_checkpoint_that_cannot_be_opened(tmp_path, capsys, where):
 
 @pytest.mark.parametrize(
     "results",
-    [None, 5, [{"d": 9, "beta": [1, 2, 6], "c": [0, 0, 0]}]],
-    ids=["no results", "results not a list", "a row without alpha"],
+    [
+        None,
+        5,
+        [{"d": 9, "beta": [1, 2, 6], "c": [0, 0, 0]}],
+        # rows are checked against validate and against the record's key
+        [{"d": 11, "alpha": [5], "beta": [7], "c": [1, 2, 3]}],
+        [{"d": 9, "alpha": [0, 0, 0], "beta": [0, 2, 7], "c": [3, 7, 8]}],
+        [{"d": 9, "alpha": [0, 0, 0], "beta": [2, 1, 6], "c": [3, 7, 8]}],
+        [{"d": 9, "alpha": [0, 0, 0], "beta": [1, 2, 6], "c": None}],
+        [{"d": 9, "alpha": [0, 0, 0], "beta": [1.0, 2, 6], "c": [3, 7, 8]}],
+    ],
+    ids=[
+        "no results",
+        "results not a list",
+        "a row without alpha",
+        "a row of another chunk",
+        "an alpha beta collision",
+        "an unsorted beta",
+        "no c",
+        "a float beta",
+    ],
 )
 def test_search_checkpoint_record_of_the_wrong_shape(tmp_path, capsys, results):
     ck = tmp_path / "ck.jsonl"
@@ -112,6 +131,19 @@ def test_search_checkpoint_record_of_the_wrong_shape(tmp_path, capsys, results):
     assert out == "" and err.startswith("bad checkpoint: ") and "line 1" in err
     # the refused record is left as it was
     assert ck.read_text() == json.dumps(rec) + "\n"
+
+
+def test_search_checkpoint_cut_at_a_limit_is_refused(tmp_path, capsys):
+    # older versions stopped a chunk at --limit and recorded the limit, so
+    # such a record may lack rows
+    ck = tmp_path / "ck.jsonl"
+    args = ["search", "--n", "3", "--partition", "3", "--d-min", "9", "--d-max", "9", "--checkpoint", str(ck)]
+    assert main(args) == 0
+    capsys.readouterr()
+    ck.write_text(ck.read_text().replace('"limit": null', '"limit": 1'))
+    assert main(args + ["--limit", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("bad checkpoint: ")
 
 
 def test_verify_monodromy(capsys):

@@ -1,7 +1,7 @@
 """Committed `hgsearch search` outputs, rerun and compared byte for byte.
 
 The goldens in data/golden_search.json pin whole result lists, so a change
-that alters any answer, or the order of a `--limit` run, fails here.
+that alters any answer, or the rows a `--limit` run keeps, fails here.
 Regenerate them only when an answer is meant to change:
 
     PYTHONPATH=src python tests/test_golden_search.py
@@ -46,7 +46,7 @@ CASES = (
         "--strict-criteria",
     ],
     # n=5 and n=6 pin the split-half beta enumeration; the --limit run
-    # depends on the order in which candidates are visited
+    # keeps the least rows of the sorted answer
     ["search", "--n", "6", "--partition", "3,3", "--d-min", "13", "--d-max", "15"],
     ["search", "--n", "5", "--partition", "2,2,1", "--d-min", "17", "--d-max", "18"],
     ["search", "--n", "6", "--partition", "4,2", "--d-min", "18", "--d-max", "20", "--limit", "2"],

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -82,9 +83,11 @@ def test_enumerate_betas_sum_and_exclusion():
 
 
 def test_enumerate_betas_is_the_brute_force_list_in_order():
-    # the same tuples in the same order: --limit and find_witness keep the
-    # first hits in this order.  Every n from 1 to 7 splits into a head and
-    # a tail of both parities, and n runs past the number of allowed residues.
+    # the same tuples in the same order, the lexicographic order that
+    # enumerate_betas documents; no answer of the search depends on it (see
+    # test_answers_do_not_depend_on_the_candidate_order).  Every n from 1
+    # to 7 splits into a head and a tail of both parities, and n runs past
+    # the number of allowed residues.
     rng = random.Random(18)
     for d in range(3, 14):
         forbidden_sets = [{0}] + [set(rng.sample(range(d), k)) for k in (1, 2, 3)]
@@ -239,9 +242,29 @@ def test_checkpoint_refuses_another_mode(tmp_path):
     strict = SearchSpec(n=3, partition=(3,), d_min=4, d_max=10, checkpoint=ck, published=False)
     with pytest.raises(ValueError):
         run_search(strict)
-    limited = SearchSpec(n=3, partition=(3,), d_min=4, d_max=10, checkpoint=ck, limit=1)
-    with pytest.raises(ValueError):
-        run_search(limited)
+
+
+def test_limited_run_resumes_a_plain_checkpoint(tmp_path):
+    # every chunk runs to its end, so a record holds the mode only
+    ck, spec = _checkpointed(tmp_path)
+    whole = run_search(spec)
+    with open(ck) as fh:
+        written = fh.read()
+    _, limited = _checkpointed(tmp_path, limit=1)
+    assert run_search(limited) == whole[:1]
+    with open(ck) as fh:
+        assert fh.read() == written
+
+
+def test_published_limit_is_a_prefix_and_workers_agree():
+    kw = dict(n=6, partition=(4, 2), d_min=18, d_max=20)
+    whole = run_search(SearchSpec(**kw))
+    # some (d, alpha) chunks hold more rows than every limit tried
+    assert max(Counter((r["d"], tuple(r["alpha"])) for r in whole).values()) > 3
+    for k in (0, 1, 2, 3, len(whole) + 1):
+        for workers in (1, 2):
+            assert run_search(SearchSpec(limit=k, workers=workers, **kw)) == whole[:k], (k, workers)
+    assert run_search(SearchSpec(workers=2, **kw)) == whole
 
 
 def test_dedup_needs_strict_criteria():
@@ -327,6 +350,28 @@ def test_find_witness():
     assert w is not None
     assert w["d"] == 9
     assert find_witness(4, (2, 2), 10) is None
+
+
+def test_answers_do_not_depend_on_the_candidate_order(monkeypatch):
+    # --limit and find_witness read the sorted answers, so enumerating the
+    # alpha shapes and the betas backwards changes none of them
+    sweeps = [
+        dict(n=6, partition=(4, 2), d_min=18, d_max=20),
+        dict(n=4, partition=(2, 2), d_min=5, d_max=12, published=False, dedup_by_scaling=True),
+    ]
+    limits = (None, 1, 2, 3, 5)
+    witnesses = [(5, (2, 2, 1), 12), (5, (2, 2, 1), 18), (5, (3, 1, 1), 12)]
+
+    def answers():
+        got = [run_search(SearchSpec(limit=k, **kw)) for kw in sweeps for k in limits]
+        return got, [find_witness(*w) for w in witnesses]
+
+    forward = answers()
+    real_alphas, real_betas = search.enumerate_alphas, search.enumerate_betas
+    monkeypatch.setattr(search, "enumerate_alphas", lambda *a: reversed(list(real_alphas(*a))))
+    monkeypatch.setattr(search, "enumerate_betas", lambda *a: reversed(list(real_betas(*a))))
+    assert answers() == forward
+    assert all(forward[1]) and forward[0][0]
 
 
 def _per_d_passing_moduli(n, partition, d_min, d_max):
