@@ -14,6 +14,8 @@ import sys
 from typing import List, Optional
 
 from .criteria import full_report
+from .jacobi import hodge_newton_report, least_prime_above
+from .monodromy import verify_annihilation, verify_levelt
 from .params import MAX_D, ValidationError, parse
 from .search import CheckpointError, SearchSpec, passing_moduli, run_search
 from .tables import POSSIBLE_D, reproduce_special
@@ -103,8 +105,7 @@ def _cmd_tables(args) -> int:
         if args.format == "json":
             _emit(payload, "json")
         else:
-            for v in verdicts:
-                d = v.to_dict()
+            for d in payload["rows"]:
                 print(f"{d['param']}: {'pass' if d['verdict'] else 'FAIL'}")
             for dd in discrepancies:
                 print(
@@ -135,8 +136,6 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_verify_monodromy(args) -> int:
-    from .monodromy import verify_levelt
-
     p = _verify_param(args.param)
     if p is None:
         return 2
@@ -146,8 +145,6 @@ def _cmd_verify_monodromy(args) -> int:
 
 
 def _cmd_verify_ode(args) -> int:
-    from .monodromy import verify_annihilation
-
     p = _verify_param(args.param)
     if p is None:
         return 2
@@ -164,8 +161,6 @@ def _cmd_verify_ode(args) -> int:
 
 
 def _cmd_verify_jacobi(args) -> int:
-    from .jacobi import hodge_newton_report, least_prime_above
-
     p = _verify_param(args.param)
     if p is None:
         return 2

@@ -571,7 +571,7 @@ def full_report(p: HgParam) -> CriteriaReport:
     if p.c is not None:
         c = p.c if det_condition(p, p.c) else None
     else:
-        c = find_c(p) if regular else None
+        c = find_c(p)
     return CriteriaReport(
         param=p,
         hodge=hodge,

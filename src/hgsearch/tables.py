@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .criteria import bm, bm_finite, det_condition, find_c, is_regular, jordan_blocks
+from .criteria import bm, bm_finite, det_condition, is_regular, jordan_blocks
 from .params import HgParam, validate
 from .residues import UnitSubgroup, closure
 
@@ -133,7 +133,6 @@ class RowVerdict:
     bm_failed_bullet: Optional[int]
     bm_documented: bool
     d_ok: bool
-    c_used: Optional[Tuple[int, int, int]]
     u_ok: bool
 
     @property
@@ -151,41 +150,26 @@ class RowVerdict:
                 "failed_bullet": self.bm_failed_bullet,
                 "documented_discrepancy": self.bm_documented,
             },
-            "D": {"pass": self.d_ok, "c": list(self.c_used) if self.c_used else None},
+            "D": {"pass": self.d_ok, "c": list(self.row.c) if self.d_ok else None},
             "U": self.u_ok,
             "verdict": self.passes,
         }
 
 
+# (D) is decided with the c the row lists, (0,0,0) included: a row whose
+# listed c fails (D) is reported as failing, not passed with another c.
 def check_special_row(row: SpecialRow) -> RowVerdict:
     p = row_param(row)
-    r_ok = is_regular(p)
-    um_expected = sorted(Counter(row.alphas).values(), reverse=True)
-    um_ok = jordan_blocks(p) == um_expected
     bm_ok, bullet = bm(p)
-    documented = (
-        not bm_ok
-        and (row.d, tuple(sorted(row.alphas)), tuple(sorted(row.betas)))
-        in KNOWN_BM_DISCREPANCIES
-    )
-    # a row listed with c = (0,0,0) may pass with any c
-    c_used: Optional[Tuple[int, int, int]] = row.c
-    d_ok = det_condition(p, row.c)
-    if not d_ok and row.c == (0, 0, 0):
-        c_used = find_c(p)
-        d_ok = c_used is not None
-    u = row_subgroup(row)
-    u_ok = bm_finite(p, u)
     return RowVerdict(
         row=row,
-        r_ok=r_ok,
-        um_ok=um_ok,
+        r_ok=is_regular(p),
+        um_ok=jordan_blocks(p) == sorted(Counter(row.alphas).values(), reverse=True),
         bm_ok=bm_ok,
         bm_failed_bullet=bullet,
-        bm_documented=documented,
-        d_ok=d_ok,
-        c_used=c_used if d_ok else None,
-        u_ok=u_ok,
+        bm_documented=not bm_ok and (p.d, p.alphas, p.betas) in KNOWN_BM_DISCREPANCIES,
+        d_ok=det_condition(p, row.c),
+        u_ok=bm_finite(p, row_subgroup(row)),
     )
 
 

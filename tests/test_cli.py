@@ -47,9 +47,13 @@ def test_search_dedup_needs_strict(capsys):
     assert main(args + ["--strict-criteria"]) == 0
 
 
-@pytest.mark.parametrize("partition", ["3,0", "4,-1", "0"])
-def test_search_refuses_a_part_below_one(capsys, partition):
-    n = str(sum(int(x) for x in partition.split(",")))
+@pytest.mark.parametrize(
+    "n, partition",
+    [("3", "3,0"), ("3", "4,-1"), ("0", "0"), ("4", "3,2")],
+    ids=["3,0", "4,-1", "0", "3,2 under n=4"],
+)
+def test_search_refuses_a_part_below_one(capsys, n, partition):
+    # and a partition that does not sum to n
     assert main(["search", "--n", n, "--partition", partition, "--d-min", "9", "--d-max", "9"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "bad search spec" in err

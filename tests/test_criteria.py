@@ -193,18 +193,8 @@ def test_is_regular_matches_definition_up_to_d30_across_cache_evictions():
     assert any(p.d == 30 and p.n == 4 and len(set(p.alphas)) == 2 and is_regular(p) for p in params)
 
 
-def _partitions(n, top):
-    """The partitions of n with parts at most top, non-increasing."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, top), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
-
-
 def test_regular_room_drops_no_regular_candidate():
-    cases = [(n, part, d) for n in range(3, 7) for part in _partitions(n, n) for d in range(n + 1, 14)]
+    cases = [(n, part, d) for n in range(3, 7) for part in _partitions(n) for d in range(n + 1, 14)]
     cases.append((6, (3, 2, 1), 20))
     candidates = let_through = tight = 0
     for n, part, d in cases:
@@ -419,6 +409,25 @@ def test_find_c():
     c = find_c(P18)
     assert c is not None
     assert det_condition(P18, c)
+
+
+def test_d_needs_regularity():
+    # (D) includes (R): no c passes an irregular parameter in either mode.
+    # About one drawn parameter in thirty has a constant w(s) and a clause
+    # (iv) solution at some c, so the draw fails without the regularity
+    # guards of det_condition and find_c.
+    rng = random.Random(0)
+    params = [parse("d=9;a=0,0,1;b=2,3,5")]
+    while len(params) < 300:
+        d = rng.randint(5, 12)
+        p = _draw_param(rng, d, rng.randint(2, min(5, d - 1)))
+        if p is not None and not is_regular(p):
+            params.append(p)
+    for p in params:
+        for published in (True, False):
+            assert find_c(p, published) is None, (p.literal(), published)
+            for c in _c_candidates(p.d):
+                assert not det_condition(p, c, published), (p.literal(), c, published)
 
 
 def test_full_report_shape():

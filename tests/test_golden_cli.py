@@ -31,7 +31,11 @@ CASES = [
     ["check", "--param", ROW, "--format", "text"],
     ["check", "--param", "d=9;a=0,0,1;b=2,3,5", "--format", "text"],
 ]
-CASES += [[cmd, "--param", ROW, "--format", fmt] for cmd in ("verify-monodromy", "verify-ode", "verify-jacobi") for fmt in ("json", "text")]
+CASES += [
+    [cmd, "--param", ROW, "--format", fmt]
+    for cmd in ("verify-monodromy", "verify-ode", "verify-jacobi")
+    for fmt in ("json", "text")
+]
 
 
 def _run(argv):

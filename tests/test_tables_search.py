@@ -73,6 +73,20 @@ def test_enumerate_alphas():
     # distinct gammas for distinct parts
     shapes31 = list(enumerate_alphas(9, (3, 1)))
     assert all(len(set(s)) == 2 for s in shapes31)
+    # against brute force: each alpha multiset with 0 at multiplicity
+    # part[0] and multiplicity profile part, once; runs of equal parts, as
+    # in (2,2,1,1), (3,1,1,1) and (2,2,2), must not repeat a shape
+    for n in range(2, 7):
+        for d in range(n + 1, 13):
+            want = {}
+            for alphas in itertools.combinations_with_replacement(range(d), n):
+                counts = Counter(alphas)
+                part = tuple(sorted(counts.values(), reverse=True))
+                if counts[0] == part[0]:
+                    want.setdefault(part, []).append(alphas)
+            assert len(want) == (2, 3, 5, 7, 11)[n - 2]  # every partition of n
+            for part, multisets in want.items():
+                assert sorted(enumerate_alphas(d, part)) == multisets, (d, part)
 
 
 def test_enumerate_betas_sum_and_exclusion():
