@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .intlattice import NoSolution, SmithForm, lattice_coordinates, smith_form, solve_lattice
 from .params import MAX_D, HgParam
@@ -416,41 +416,6 @@ def _coset_verdict(plan: _StrictPlan, n: int, image: Tuple[int, ...]) -> bool:
 # Determinant criterion (D)
 
 
-def _clause_iv(p: HgParam, f: Tuple[int, ...], published: bool) -> bool:
-    if published:
-        coeffs = solve_in_E_basis(f)
-        return coeffs is not None and _good_point(p.d, p.n, gamma_exponents(coeffs, p.d))
-    plan = _strict_plan(p.d)
-    image = _strict_image(plan, [sum(a * b for a, b in zip(row, f)) for row in plan.sf.u])
-    return image is not None and _coset_verdict(plan, p.n, image)
-
-
-def det_condition(p: HgParam, c: Tuple[int, int, int], published: bool = True) -> bool:
-    """Criterion (D): regularity, constancy of w(s), and integer solvability
-    in E(d) with the coprimality conditions.
-
-    w(s) = sum_{i,j} [s(b_j - a_i)] - sum_{i != j} [s(b_j - b_i)] + n S_c(s).
-    Under (R) the alphas and betas are separated under every unit s: in a
-    rotated window every s*alpha comes before every s*beta, so each
-    [s(b_j - a_i)] is a plain difference and the first sum is n P(s), with
-    P(s) = sum_i [s(b_i - a_i)] over any pairing.  The betas are distinct,
-    so the pairs i != j add [s(b_j - b_i)] + [s(b_i - b_j)] = d.  Hence
-    w(s) = n (P(s) + S_c(s)) - d C(n,2), constant exactly when P(s) + S_c(s)
-    is.
-
-    With published=True (default) the coprimality is tested on the unique
-    solution over the fixed pivot basis, which is what the published tables
-    reflect.  With published=False the test is existential over the whole
-    integer solution lattice, a weaker but solution-independent reading.
-    """
-    if not is_regular(p):
-        return False
-    terms = [b - a for a, b in zip(p.alphas, p.betas)] + list(c)
-    if len(set(unit_brackets(p.d, terms))) != 1:
-        return False
-    return _clause_iv(p, build_f(p, c), published)
-
-
 def _c_candidates(d: int) -> Iterable[Tuple[int, int, int]]:
     """(0,0,0), then the all-nonzero triples with sum 0 mod d and
     c1 <= c2 <= c3, in lexicographic order.  (D) sees c only as a multiset
@@ -476,22 +441,36 @@ def _c_index(d: int) -> Dict[Tuple[int, ...], List[Tuple[int, int, int]]]:
     return index
 
 
-def find_c(p: HgParam, published: bool = True) -> Optional[Tuple[int, int, int]]:
-    """First admissible c-triple making (D) hold, scanning (0,0,0) then the
-    all-nonzero triples in lexicographic order.
+def _constant_w(p: HgParam) -> Sequence[Tuple[int, int, int]]:
+    """The c-triples of _c_candidates with w(s) constant over the units, in
+    that order; none unless (R) holds, the one regularity guard of (D).
 
-    w(s) is constant over the units exactly when the profile of c equals
-    (P(u_0) - P(s))_s (see det_condition); only the triples with that
-    profile are tested with clause (iv).  In strict mode f(c) is
-    f(0,0,0) + n (delta_c1 + delta_c2 + delta_c3), so U f(c) costs three
-    column additions once U f(0,0,0) is known."""
+    w(s) = sum_{i,j} [s(b_j - a_i)] - sum_{i != j} [s(b_j - b_i)] + n S_c(s).
+    Under (R) the alphas and betas are separated under every unit s: in a
+    rotated window every s*alpha comes before every s*beta, so each
+    [s(b_j - a_i)] is a plain difference and the first sum is n P(s), with
+    P(s) = sum_i [s(b_i - a_i)] over any pairing.  The betas are distinct,
+    so the pairs i != j add [s(b_j - b_i)] + [s(b_i - b_j)] = d.  Hence
+    w(s) = n (P(s) + S_c(s)) - d C(n,2), constant exactly when the profile
+    of c is (P(u_0) - P(s))_s.
+    """
     if not is_regular(p):
-        return None
-    d, n, pairing = p.d, p.n, [b - a for a, b in zip(p.alphas, p.betas)]
-    sums = unit_brackets(d, pairing)
-    cs = _c_index(d).get(tuple(sums[0] - x for x in sums), ())
+        return ()
+    sums = unit_brackets(p.d, [b - a for a, b in zip(p.alphas, p.betas)])
+    return _c_index(p.d).get(tuple(sums[0] - x for x in sums), ())
+
+
+def _iv_scan(p: HgParam, cs: Sequence[Tuple[int, ...]], published: bool) -> Iterator[Tuple[int, ...]]:
+    """The triples of cs that pass clause (iv), in order.  In strict mode
+    f(c) is f(0,0,0) + n (delta_c1 + delta_c2 + delta_c3), so U f(c) costs
+    three column additions once U f(0,0,0) is known."""
+    d, n = p.d, p.n
     if published:
-        return next((c for c in cs if _clause_iv(p, build_f(p, c), True)), None)
+        for c in cs:
+            coeffs = solve_in_E_basis(build_f(p, c))
+            if coeffs is not None and _good_point(d, n, gamma_exponents(coeffs, d)):
+                yield c
+        return
     plan = _strict_plan(d)
     f0 = build_f(p, (0, 0, 0))
     y0 = [sum(a * b for a, b in zip(row, f0)) for row in plan.sf.u]
@@ -499,8 +478,28 @@ def find_c(p: HgParam, published: bool = True) -> Optional[Tuple[int, int, int]]
         cols = [plan.u_delta[x] for x in c]
         image = _strict_image(plan, [a + n * (b1 + b2 + b3) for a, b1, b2, b3 in zip(y0, *cols)])
         if image is not None and _coset_verdict(plan, n, image):
-            return c
-    return None
+            yield c
+
+
+def det_condition(p: HgParam, c: Tuple[int, int, int], published: bool = True) -> bool:
+    """Criterion (D) at c, reduced mod d and sorted: regularity, constancy
+    of w(s), and integer solvability in E(d) with the coprimality
+    conditions.  Only the admissible c of _c_candidates, the triples that
+    params.validate accepts, can pass.
+
+    With published=True (default) the coprimality is tested on the unique
+    solution over the fixed pivot basis, which is what the published tables
+    reflect.  With published=False the test is existential over the whole
+    integer solution lattice, a weaker but solution-independent reading.
+    """
+    c = tuple(sorted(x % p.d for x in c))
+    return c in _constant_w(p) and any(_iv_scan(p, [c], published))
+
+
+def find_c(p: HgParam, published: bool = True) -> Optional[Tuple[int, int, int]]:
+    """First admissible c-triple making (D) hold, scanning (0,0,0) then the
+    all-nonzero triples in lexicographic order."""
+    return next(_iv_scan(p, _constant_w(p), published), None)
 
 
 def bm_published(p: HgParam) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .criteria import bm, bm_finite, det_condition, is_regular, jordan_blocks
@@ -120,6 +121,7 @@ def row_subgroup(row: SpecialRow) -> UnitSubgroup:
     return closure(row.d, [g % row.d for g in row.u_gens])
 
 
+@lru_cache(maxsize=None)
 def row_param(row: SpecialRow) -> HgParam:
     return validate(row.d, row.alphas, row.betas)
 

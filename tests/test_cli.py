@@ -256,9 +256,10 @@ def test_search_and_tables_refuse_a_bad_jobs(capsys, jobs):
     assert main(args) == 2
     out, err = capsys.readouterr()
     assert out == "" and "bad search spec" in err and "workers" in err
-    assert main(["tables", "--which", "possible-d", "--jobs", jobs]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "bad tables run" in err and "workers" in err
+    for which in ("possible-d", "special"):
+        assert main(["tables", "--which", which, "--jobs", jobs]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "bad tables run" in err and "workers" in err, which
 
 
 @pytest.mark.parametrize("param, ell", [("d=84;a=0,0;b=1,41", 337), ("d=120;a=0,0;b=1,59", 241)])

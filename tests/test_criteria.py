@@ -34,7 +34,7 @@ from hgsearch.criteria import (
     solve_in_E_basis,
 )
 from hgsearch.intlattice import NoSolution, smith_form
-from hgsearch.params import HgParam, SumMismatch, canonical_form, parse, scale, scaling_orbit, validate
+from hgsearch.params import BadCTriple, HgParam, SumMismatch, canonical_form, parse, scale, scaling_orbit, validate
 from hgsearch.residues import (
     UnitSubgroup,
     complements,
@@ -398,7 +398,10 @@ def test_gamma_exponents_rationality():
 
 
 def test_det_condition_table_rows():
-    assert det_condition(P18, (1, 7, 10))
+    # det_condition reads c reduced mod d and sorted, in either mode
+    for c in ((1, 7, 10), (10, 7, 1), (19, 7, -8)):
+        for published in (True, False):
+            assert det_condition(P18, c, published), (c, published)
     assert det_condition(parse("d=9;a=0,0,0;b=1,2,6"), (3, 7, 8))
     assert det_condition(parse("d=9;a=0,0,0,0;b=1,2,7,8"), (0, 0, 0))
 
@@ -414,8 +417,8 @@ def test_find_c():
 def test_d_needs_regularity():
     # (D) includes (R): no c passes an irregular parameter in either mode.
     # About one drawn parameter in thirty has a constant w(s) and a clause
-    # (iv) solution at some c, so the draw fails without the regularity
-    # guards of det_condition and find_c.
+    # (iv) solution at some c, so the draw fails without (D)'s one
+    # regularity guard, which det_condition and find_c share.
     rng = random.Random(0)
     params = [parse("d=9;a=0,0,1;b=2,3,5")]
     while len(params) < 300:
@@ -427,6 +430,29 @@ def test_d_needs_regularity():
         for published in (True, False):
             assert find_c(p, published) is None, (p.literal(), published)
             for c in _c_candidates(p.d):
+                assert not det_condition(p, c, published), (p.literal(), c, published)
+
+
+def test_det_condition_refuses_a_mixed_zero_triple():
+    # (D) is decided only on the c that validate accepts: every triple
+    # (0, x, d - x) fails in both modes on every regular n=4 parameter
+    # with d <= 18, although w(s) is constant and clause (iv) holds on 552
+    # of these 3,060 triples in each mode
+    params = [
+        p
+        for d in range(5, 19)
+        for part in ((2, 2), (3, 1))
+        for alphas in enumerate_alphas(d, part)
+        for p in _candidate_params(d, alphas)
+        if is_regular(p)
+    ]
+    assert len(params) == 210 and parse("d=9;a=0,0,1,1;b=2,4,6,8") in params
+    for p in params:
+        for x in range(1, p.d):
+            c = (0, x, p.d - x)
+            with pytest.raises(BadCTriple, match="mixes zero and nonzero"):
+                validate(p.d, p.alphas, p.betas, c)
+            for published in (True, False):
                 assert not det_condition(p, c, published), (p.literal(), c, published)
 
 

@@ -58,6 +58,23 @@ def test_check_one_row():
     assert verdict.passes
 
 
+def test_tables_special_validates_each_row_once(monkeypatch, capsys):
+    from hgsearch import tables
+    from hgsearch.cli import main
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(tables, "validate", counting)
+    row_param.cache_clear()
+    assert main(["tables", "--which", "special", "--format", "json"]) == 0
+    assert len(calls) == len(SPECIAL_ROWS) == 19
+    assert sorted(calls) == sorted((r.d, r.alphas, r.betas) for r in SPECIAL_ROWS)
+
+
 def test_possible_d_shape():
     assert POSSIBLE_D[(2, 2)] == (9, 12, 15, 20, 21, 24, 27)
     assert POSSIBLE_D[(3, 1)] == (18, 20, 24, 28, 30)
