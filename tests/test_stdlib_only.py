@@ -1,18 +1,30 @@
 """The package runs on the standard library alone: every absolute import
-in src/hgsearch names a standard-library module."""
+in src/hgsearch names a standard-library module, and every file parses
+under the grammar of the oldest Python that pyproject.toml accepts."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hgsearch"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hgsearch"
+
+
+def python_floor():
+    """(major, minor) from pyproject's requires-python = ">=X.Y"."""
+    text = (ROOT / "pyproject.toml").read_text()
+    major, minor = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', text, re.M).groups()
+    return int(major), int(minor)
 
 
 def test_runtime_imports_only_the_standard_library():
     files = sorted(SRC.glob("*.py"))
     assert files
+    floor = python_floor()
     for path in files:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path), feature_version=floor)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:

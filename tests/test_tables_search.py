@@ -3,6 +3,7 @@ import json
 import os
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -24,6 +25,7 @@ from hgsearch.tables import (
     KNOWN_EMPTY_DISCREPANCIES,
     POSSIBLE_D,
     SPECIAL_ROWS,
+    SpecialRow,
     check_special_row,
     row_param,
 )
@@ -34,6 +36,9 @@ def test_special_rows_are_valid_params():
     for row in SPECIAL_ROWS:
         p = row_param(row)  # raises on an invalid row
         assert p.n == row.n
+        # the listed c is admissible as it stands, so the table may decide
+        # (D) on row_param(row) with c replaced by it
+        assert validate(row.d, row.alphas, row.betas, row.c).c == row.c
 
 
 def test_known_discrepancy_count():
@@ -58,6 +63,28 @@ def test_check_one_row():
     assert verdict.passes
 
 
+@pytest.mark.parametrize(
+    "row, field, want",
+    [
+        # the listed c decides (D); (0,0,0) does not pass on the first row
+        (replace(SPECIAL_ROWS[0], c=(0, 0, 0)), "D", {"pass": False, "c": None}),
+        # the stabiliser {1,9,11,19} is not inside U = {1,19}
+        (replace(SPECIAL_ROWS[11], u_gens=(-1,)), "U", False),
+        # beta an arithmetic progression, and not a documented discrepancy
+        (
+            SpecialRow(4, 12, (0, 0, 0, 0), (3, 4, 5, 6), (2, 11, 11), (-1,)),
+            "BM",
+            {"pass": False, "failed_bullet": 2, "documented_discrepancy": False},
+        ),
+        (SpecialRow(3, 9, (0, 0, 1), (2, 3, 5), (0, 0, 0), (-1,)), "R", False),
+    ],
+)
+def test_table_fails_a_row_on_each_criterion(row, field, want):
+    report = check_special_row(row).to_dict()
+    assert report[field] == want
+    assert report["verdict"] is False
+
+
 def test_tables_special_validates_each_row_once(monkeypatch, capsys):
     from hgsearch import tables
     from hgsearch.cli import main
@@ -79,6 +106,23 @@ def test_possible_d_shape():
     assert POSSIBLE_D[(2, 2)] == (9, 12, 15, 20, 21, 24, 27)
     assert POSSIBLE_D[(3, 1)] == (18, 20, 24, 28, 30)
     assert len(POSSIBLE_D) == 10
+
+
+def test_n5_d12_is_found_but_not_published():
+    # the published search finds (2,2,1) and (3,1,1) parameters at d=12,
+    # which POSSIBLE_D does not list (it stays as published); strict mode
+    # finds none there
+    want = {
+        (2, 2, 1): ["d=12;a=0,0,2,4,4;b=5,6,8,10,11", "d=12;a=0,0,8,8,10;b=1,2,4,6,7"],
+        (3, 1, 1): ["d=12;a=0,0,0,2,10;b=3,4,6,8,9"],
+    }
+    for part, literals in want.items():
+        assert 12 not in POSSIBLE_D[part]
+        for published, expected in ((True, literals), (False, [])):
+            spec = SearchSpec(n=5, partition=part, d_min=12, d_max=12, published=published)
+            results = run_search(spec)
+            assert [validate(r["d"], r["alpha"], r["beta"]).literal() for r in results] == expected
+            assert all(r["c"] == [0, 0, 0] for r in results)
 
 
 def test_enumerate_alphas():
