@@ -141,16 +141,19 @@ def bm(p: HgParam) -> Tuple[bool, Optional[int]]:
     return True, None
 
 
+@lru_cache(maxsize=1)
 def scaling_stabilizer(p: HgParam) -> UnitSubgroup:
-    da = difference_multiset(p.alphas, p.d)
-    db = difference_multiset(p.betas, p.d)
-    elems = []
-    for s in units(p.d):
-        sa = Counter(s * x % p.d for x in da.elements())
-        sb = Counter(s * x % p.d for x in db.elements())
-        if sa == da and sb == db:
-            elems.append(s)
-    return UnitSubgroup(p.d, elems)
+    """The units s with s*D = D for both difference multisets D, compared
+    sorted.  full_report, minimal_admissible_subgroup and bm_finite ask for
+    one parameter's stabilizer in a row; keeping the last one lets them
+    share it."""
+    d = p.d
+    da = sorted(difference_multiset(p.alphas, d).elements())
+    db = sorted(difference_multiset(p.betas, d).elements())
+    elems = [
+        s for s in units(d) if sorted(s * x % d for x in da) == da and sorted(s * x % d for x in db) == db
+    ]
+    return UnitSubgroup(d, elems)
 
 
 def bm_finite(p: HgParam, u: UnitSubgroup) -> bool:

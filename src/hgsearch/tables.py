@@ -154,8 +154,8 @@ class RowVerdict:
 # check's report at the c the row lists, (0,0,0) included: a row whose
 # listed c fails (D) is reported as failing, not passed with another c.
 def check_special_row(row: SpecialRow) -> RowVerdict:
-    p = row_param(row)
-    report = full_report(p._replace(c=row.c))
+    p = row_param(row)._replace(c=row.c)
+    report = full_report(p)
     return RowVerdict(
         row=row,
         report=report,
