@@ -177,16 +177,7 @@ class CycNum:
         return _cyc(level, [sign * self.den * c for c in prod.num], sign * norm)
 
     def __pow__(self, k: int) -> "CycNum":
-        if k < 0:
-            raise ValueError(f"negative exponent {k}: take inv() first")
-        out = CycNum.one(self.level)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, CycNum.one(self.level))
 
     # --- comparison ---------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -210,6 +201,20 @@ class CycNum:
         ]
         body = " + ".join(terms) if terms else "0"
         return f"Cyc({self.level}: {body})"
+
+
+def _power(x, k: int, one):
+    """x**k for k >= 0, one being x**0; squares only while bits remain."""
+    if k < 0:
+        raise ValueError(f"negative exponent {k}: take inv() first")
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return one if out is None else out
 
 
 def _coerce(x, level: int) -> CycNum:
@@ -307,15 +312,7 @@ class CycMatrix:
     def __pow__(self, k: int) -> "CycMatrix":
         if self.rows != self.cols:
             raise ValueError("power of non-square matrix")
-        out = None
-        base = self
-        while k:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return CycMatrix.identity(self.level, self.rows) if out is None else out
+        return _power(self, k, CycMatrix.identity(self.level, self.rows))
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.entries for x in row)

@@ -3,8 +3,8 @@ Newton-vs-Hodge cross check.
 
 All sums live in Z[zeta_d].  Multi-variable Jacobi sums are assembled by
 chaining two-variable sums through Gauss-sum identities, so no arithmetic
-ever leaves level d; the normalization constants of the chain are pinned
-by the direct definitional sum (see tests).
+ever leaves level d; jacobi's docstring derives the normalization of the
+chain, and tests/test_jacobi.py checks it against the definitional sum.
 
 Valuations are read modulo l^d, which is enough: each of a parameter's n
 sums is a Jacobi sum of d characters tau^{-a_k} (a_vector shifted by a
@@ -15,7 +15,6 @@ So J * conj(J) = l^(d-2) (Berndt-Evans-Williams, Gauss and Jacobi Sums,
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .criteria import hodge_degrees, is_regular
@@ -32,10 +31,6 @@ class DegenerateIndices(Exception):
 
 
 class ZeroVector(Exception):
-    pass
-
-
-class TooLarge(Exception):
     pass
 
 
@@ -78,11 +73,6 @@ class PrimeFieldCtx:
         return (self.ell - 1) // 2 % self.d
 
 
-@lru_cache(maxsize=None)
-def _zeta_power(d: int, e: int) -> CycNum:
-    return root_of_unity(d, e % d)
-
-
 def jacobi2(ctx: PrimeFieldCtx, a: int, b: int) -> CycNum:
     """-sum_{x != 0,1} tau(x)^{-a} tau(1-x)^{-b}, exact."""
     d, ell = ctx.d, ctx.ell
@@ -94,84 +84,41 @@ def jacobi2(ctx: PrimeFieldCtx, a: int, b: int) -> CycNum:
     return CycNum(d, coeffs)
 
 
-def _gauss_product(ctx: PrimeFieldCtx, a_vec: Sequence[int]) -> Tuple[CycNum, int, int]:
-    """Write prod_i g(a_i) = ACC * g(S) * ell^z with ACC in Z[zeta_d].
+def jacobi(ctx: PrimeFieldCtx, a_vec: Sequence[int]) -> CycNum:
+    """J_{a_vec} = (-1)^m sum_{x_1+...+x_m=-1} prod tau(x_i)^{-a_i},
+    computed by chaining Gauss sums.  Raises ZeroVector when a component
+    is 0 mod d; motive_valuations never builds one, since alpha_k != beta_i
+    and the s_k skip every -beta_i.
 
-    Uses g(0) = -1, g(a)g(-a) = tau(-1)^a ell, and
-    g(a)g(b) = [-jacobi2(a,b)] g(a+b) for a, b, a+b nonzero.
-    """
+    Write chi_i = tau^{-a_i}, g(a) for the Gauss sum of tau^{-a}, and
+    J_std = sum_{x_1+...+x_m=1} prod chi_i(x_i) (Ireland-Rosen, ch. 8 s. 5).
+    Substituting x -> -x gives J = (-1)^m prod chi_i(-1) J_std, and
+    prod chi_i(-1) = tau(-1)^{-sum a} is chi_m1.  The loop keeps
+    prod g(a_i) = ACC g(S) ell^z, from ACC = -1 and S = 0 as g(0) = -1, by
+    g(a)g(-a) = tau(-1)^a ell and g(a)g(b) = -jacobi2(a, b) g(a+b) for
+    a, b, a+b nonzero.  All chi_i are nontrivial, so J_std = prod g / g(S)
+    = ACC ell^z when S != 0, and -prod g / ell = ACC ell^(z-1) when S = 0."""
     d, ell = ctx.d, ctx.ell
-    acc = -CycNum.one(d)  # empty product: ACC * g(0) = 1
-    s = 0
-    z = 0
+    if any(a % d == 0 for a in a_vec):
+        raise ZeroVector("a component vanishes mod d")
     tm1 = ctx.tau_minus_one_exp()
+    acc = -CycNum.one(d)
+    s = z = 0
     for a in a_vec:
         a %= d
         if s == 0:
             acc = -acc
             s = a
         elif (s + a) % d == 0:
-            # g(s)g(-s) = tau(-1)^s ell; re-expressed through g(0) = -1
-            acc = -(acc * _zeta_power(d, tm1 * s))
+            acc = -(acc * root_of_unity(d, tm1 * s))
             z += 1
             s = 0
         else:
             acc = acc * (-jacobi2(ctx, s, a))
             s = (s + a) % d
-    return acc, s, z
-
-
-def jacobi(ctx: PrimeFieldCtx, a_vec: Sequence[int]) -> CycNum:
-    """J_{a_vec} = (-1)^m sum_{x_1+...+x_m=-1} prod tau(x_i)^{-a_i},
-    computed by chaining two-variable sums.  Raises ZeroVector when a
-    component is 0 mod d; motive_valuations never builds one, since
-    alpha_k != beta_i and the s_k skip every -beta_i."""
-    d, ell = ctx.d, ctx.ell
-    m = len(a_vec)
-    if any(a % d == 0 for a in a_vec):
-        raise ZeroVector("a component vanishes mod d")
-    # chain the Gauss sums g(chi_a) with chi_a = tau^{-a}
-    acc, s, z = _gauss_product(ctx, a_vec)
-    sign = -1 if m % 2 else 1
-    tm1 = ctx.tau_minus_one_exp()
-    chi_m1 = _zeta_power(d, tm1 * (-sum(a_vec)))  # prod_i chi_i(-1)
-    if s == 0:
-        # prod g = -ACC ell^z; see tests for the empirical pinning of signs
-        return sign * chi_m1 * acc * (ell ** (z - 1))
-    # prod chi nontrivial: J_std = prod g / g(S) = ACC ell^z
-    return sign * chi_m1 * acc * (ell ** z)
-
-
-def jacobi_direct(ctx: PrimeFieldCtx, a_vec: Sequence[int]) -> CycNum:
-    """The definitional sum, for cross-checking the chain (small inputs)."""
-    d, ell = ctx.d, ctx.ell
-    m = len(a_vec)
-    if m > 3 or ell > 31:
-        raise TooLarge("direct summation is gated to m <= 3, l <= 31")
-    hist = [0] * d  # hist[e] counts the terms equal to zeta_d^e
-    if m == 1:
-        x = (-1) % ell
-        hist[(-a_vec[0] * ctx.dlog[x]) % d] += 1
-    elif m == 2:
-        for x1 in range(1, ell):
-            x2 = (-1 - x1) % ell
-            if x2 == 0:
-                continue
-            e = (-a_vec[0] * ctx.dlog[x1] - a_vec[1] * ctx.dlog[x2]) % d
-            hist[e] += 1
-    else:
-        for x1 in range(1, ell):
-            for x2 in range(1, ell):
-                x3 = (-1 - x1 - x2) % ell
-                if x3 == 0:
-                    continue
-                e = (
-                    -a_vec[0] * ctx.dlog[x1]
-                    - a_vec[1] * ctx.dlog[x2]
-                    - a_vec[2] * ctx.dlog[x3]
-                ) % d
-                hist[e] += 1
-    return CycNum(d, hist if m % 2 == 0 else [-c for c in hist])
+    sign = -1 if len(a_vec) % 2 else 1
+    chi_m1 = root_of_unity(d, -tm1 * sum(a_vec))
+    return sign * chi_m1 * acc * ell ** (z - (s == 0))
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,8 @@ def run_search(spec: SearchSpec) -> List[dict]:
     (d, alpha, beta).  Deterministic regardless of worker count."""
     fingerprint = spec.fingerprint()
     chunks = []
-    for d in range(max(spec.d_min, spec.n + 1), spec.d_max + 1):
+    # validate refuses moduli below 3, which n = 1 would otherwise reach
+    for d in range(max(spec.d_min, spec.n + 1, 3), spec.d_max + 1):
         for alphas in enumerate_alphas(d, spec.partition):
             chunks.append((d, alphas, spec.published))
     done = _load_checkpoint(spec.checkpoint, fingerprint)
@@ -257,12 +258,3 @@ def passing_moduli(
     spec = SearchSpec(n=n, partition=partition, d_min=d_min, d_max=d_max, workers=workers)
     return sorted({r["d"] for r in run_search(spec)})
 
-
-def find_witness(n: int, partition: Tuple[int, ...], d: int) -> Optional[dict]:
-    """The least passing parameter (published criteria) at one modulus: the
-    least row of the first alpha shape, in sorted order, that has one."""
-    for alphas in sorted(enumerate_alphas(d, partition)):
-        results = search_chunk((d, alphas, True))[1]
-        if results:
-            return min(results, key=lambda r: r["beta"])
-    return None

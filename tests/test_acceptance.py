@@ -34,14 +34,13 @@ from hgsearch.jacobi import (
     hodge_newton_check,
     jacobi,
     jacobi2,
-    jacobi_direct,
     least_prime_above,
     motive_valuations,
 )
 from hgsearch.monodromy import verify_annihilation, verify_levelt
 from hgsearch.params import HgParam, parse, scale, validate
 from hgsearch.residues import UnitSubgroup, bracket, units
-from hgsearch.search import SearchSpec, find_witness, passing_moduli, run_search
+from hgsearch.search import SearchSpec, passing_moduli, run_search
 from hgsearch.tables import (
     KNOWN_BM_DISCREPANCIES,
     KNOWN_EMPTY_DISCREPANCIES,
@@ -51,6 +50,8 @@ from hgsearch.tables import (
     row_param,
 )
 from test_criteria import _combine, _mean_bracket, _reference_is_regular
+from test_jacobi import jacobi_direct
+from test_tables_search import find_witness
 
 WORKERS = 8
 

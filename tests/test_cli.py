@@ -40,6 +40,14 @@ def test_search_tsv(capsys):
     assert any("1,2,6" in line for line in out.splitlines())
 
 
+def test_search_n1_from_d_2_starts_at_the_least_valid_modulus(capsys):
+    # validate refuses d < 3; n = 1 has no passing parameter there anyway
+    rc = main(["search", "--n", "1", "--partition", "1", "--d-min", "2", "--d-max", "6"])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert out == "n\td\talpha\tbeta\tc\n" and err == ""
+
+
 def test_search_dedup_needs_strict(capsys):
     args = ["search", "--n", "3", "--partition", "3", "--d-min", "9", "--d-max", "9", "--dedup"]
     assert main(args) == 2

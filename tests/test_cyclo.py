@@ -77,6 +77,31 @@ def test_matrix_det_and_inverse():
     assert prod == CycMatrix.identity(5, 2)
 
 
+def test_power_refuses_a_negative_exponent():
+    # k >>= 1 stays at -1, so a loop without the guard never ends
+    with pytest.raises(ValueError, match="negative exponent"):
+        CycMatrix.identity(5, 2) ** -1
+    with pytest.raises(ValueError, match="negative exponent"):
+        root_of_unity(5, 1) ** -1
+
+
+def test_matrix_power_squares_only_while_bits_remain(monkeypatch):
+    z = root_of_unity(7, 1)
+    one, zero = CycNum.one(7), CycNum.zero(7)
+    m = CycMatrix(7, [[z, one], [zero, one]])
+    real_mul = CycMatrix.__mul__
+    calls = []
+    monkeypatch.setattr(CycMatrix, "__mul__", lambda a, b: calls.append(1) or real_mul(a, b))
+    want = CycMatrix.identity(7, 2)
+    for k in range(12):
+        calls.clear()
+        got = m ** k
+        # bit_length - 1 squarings and popcount - 1 products
+        assert len(calls) == max(k.bit_length() - 1, 0) + max(bin(k).count("1") - 1, 0), k
+        assert got == want, k
+        want = real_mul(want, m)
+
+
 def test_matrix_rank():
     one = CycNum.one(4)
     zero = CycNum.zero(4)

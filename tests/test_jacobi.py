@@ -12,13 +12,49 @@ from hgsearch.jacobi import (
     hodge_newton_check,
     jacobi,
     jacobi2,
-    jacobi_direct,
     least_prime_above,
     motive_valuations,
 )
 from hgsearch.params import a_vector, parse
 from hgsearch.residues import units
 from hgsearch.tables import SPECIAL_ROWS, row_param
+
+
+class TooLarge(Exception):
+    pass
+
+
+def jacobi_direct(ctx, a_vec):
+    """The definitional sum (-1)^m sum_{x_1+...+x_m=-1} prod tau(x_i)^{-a_i},
+    the reference for the chain in jacobi (small inputs only)."""
+    d, ell = ctx.d, ctx.ell
+    m = len(a_vec)
+    if m > 3 or ell > 31:
+        raise TooLarge("direct summation is gated to m <= 3, l <= 31")
+    hist = [0] * d  # hist[e] counts the terms equal to zeta_d^e
+    if m == 1:
+        x = (-1) % ell
+        hist[(-a_vec[0] * ctx.dlog[x]) % d] += 1
+    elif m == 2:
+        for x1 in range(1, ell):
+            x2 = (-1 - x1) % ell
+            if x2 == 0:
+                continue
+            e = (-a_vec[0] * ctx.dlog[x1] - a_vec[1] * ctx.dlog[x2]) % d
+            hist[e] += 1
+    else:
+        for x1 in range(1, ell):
+            for x2 in range(1, ell):
+                x3 = (-1 - x1 - x2) % ell
+                if x3 == 0:
+                    continue
+                e = (
+                    -a_vec[0] * ctx.dlog[x1]
+                    - a_vec[1] * ctx.dlog[x2]
+                    - a_vec[2] * ctx.dlog[x3]
+                ) % d
+                hist[e] += 1
+    return CycNum(d, hist if m % 2 == 0 else [-c for c in hist])
 
 
 def test_least_prime_above():

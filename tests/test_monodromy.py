@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hgsearch import monodromy
+from hgsearch.cyclo import CycMatrix
 from hgsearch.monodromy import (
     TruncSeries,
     gj_coefficients,
@@ -47,6 +48,28 @@ def test_det_identities():
 
 def test_levelt_bundle():
     assert verify_levelt(P9)
+
+
+def test_each_structural_check_fails_on_a_broken_layer(monkeypatch):
+    # one mutation per check; each check passes on P18 as it stands
+    pair = levelt_matrices(P18)
+    assert verify_levelt(P18) and monodromy._char_poly_check(pair.a, P18.alphas)
+    real_rank, real_det = CycMatrix.rank, CycMatrix.det
+    real_blocks = monodromy.unipotent_block_sizes
+    assert real_blocks(pair.a ** P18.d) == [3, 1]
+
+    monkeypatch.setattr(CycMatrix, "rank", lambda m: real_rank(m) + 1)
+    assert not monodromy._char_poly_check(pair.a, P18.alphas)
+    assert not verify_levelt(P18)
+    assert not verify_pseudoreflection(P18)
+    monkeypatch.undo()
+
+    monkeypatch.setattr(CycMatrix, "det", lambda m: real_det(m) * 2)
+    assert not verify_det_identities(P18)
+    monkeypatch.undo()
+
+    monkeypatch.setattr(monodromy, "unipotent_block_sizes", lambda m: real_blocks(m)[::-1])
+    assert not verify_infinity_blocks(P18)
 
 
 def test_gj_leading_coefficient_is_one():

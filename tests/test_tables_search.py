@@ -15,7 +15,6 @@ from hgsearch.search import (
     SearchSpec,
     enumerate_alphas,
     enumerate_betas,
-    find_witness,
     passing_moduli,
     run_search,
 )
@@ -420,6 +419,18 @@ def test_dedup_limit_is_a_prefix_and_workers_agree():
         assert run_search(SearchSpec(workers=2, limit=4, **kw)) == whole[:4]
 
 
+def find_witness(n, partition, d):
+    """The least passing parameter (published criteria) at one modulus: the
+    least row of the first alpha shape, in sorted order, that has one.  It
+    reads enumerate_alphas and search_chunk through the module, so a
+    monkeypatch of either reaches it."""
+    for alphas in sorted(search.enumerate_alphas(d, partition)):
+        results = search.search_chunk((d, alphas, True))[1]
+        if results:
+            return min(results, key=lambda r: r["beta"])
+    return None
+
+
 def test_find_witness():
     w = find_witness(4, (2, 2), 9)
     assert w is not None
@@ -464,3 +475,7 @@ def test_passing_moduli_matches_one_search_per_modulus():
         want = _per_d_passing_moduli(4, partition, 3, 20)
         for workers in (1, 2):
             assert passing_moduli(4, partition, 3, 20, workers=workers) == want, (partition, workers)
+
+
+def test_passing_moduli_for_n1_skips_the_moduli_below_3():
+    assert passing_moduli(1, (1,), 2, 6) == []
