@@ -4,87 +4,47 @@ An element is stored as integer numerators over one positive common
 denominator: num/den, where num is its coefficient vector in Z[X]/(Phi_m),
 length phi(m), and gcd(den, num) = 1, so equality is canonical.  Phi_m is
 monic with integer coefficients, so +, - and * are integer convolution plus
-one integer reduction, and inv divides the product of the conjugates by
-the integer norm.  Fraction appears only where rationals enter or leave
-(the constructor, from_rational, coeffs).  No floating point anywhere:
-rank and determinant decisions must be exact.
+one integer reduction (a rational factor only scales), and inv divides the
+product of the conjugates by the integer norm.  Fraction appears only where
+rationals enter or leave (the constructor, from_rational, coeffs).  No
+floating point anywhere: rank and determinant decisions must be exact.
 
-Matrices have one elimination, a forward pass that clears below each
-pivot only: rank counts the pivots, det is the product of the pivots
-times the sign of the row swaps, and inv runs the pass on [A | I] and
-finishes by back-substitution.
+Matrices have two eliminations.  det and inv run a forward pass that
+clears below each pivot only: det is the product of the pivots times the
+sign of the row swaps, and inv runs the pass on [A | I] and finishes by
+back-substitution.  rank, and the image chain behind
+unipotent_block_sizes, eliminate fraction-free on integer rows (each row
+over its common denominator, divided by its content), so they invert
+nothing.  The integer kernels, convolution and reduction included, live
+in cycrows.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
-from .residues import units
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(m: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_m, low degree first, computed by dividing
-    X^m - 1 by the lower-level cyclotomic polynomials."""
-    if m == 1:
-        return (-1, 1)
-    # start from X^m - 1 and divide off Phi_k for proper divisors k
-    num = [0] * (m + 1)
-    num[0], num[m] = -1, 1
-    for k in range(1, m):
-        if m % k == 0:
-            num = _polydiv_exact(num, list(cyclotomic_poly(k)))
-    return tuple(num)
-
-
-def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (remainder must vanish)."""
-    num = num[:]
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        coef = num[i + len(den) - 1] // den[-1]
-        out[i] = coef
-        for j, dj in enumerate(den):
-            num[i + j] -= coef * dj
-    assert all(x == 0 for x in num), "non-exact polynomial division"
-    return out
-
-
-@lru_cache(maxsize=None)
-def _ring(m: int) -> tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """phi(m); the nonzero coefficients below the leading one of Phi_m, as
-    (degree, coefficient) pairs, which reduction mod Phi_m needs; and the
-    units k != 1 mod m, whose zeta -> zeta^k are the other conjugations."""
-    phi = cyclotomic_poly(m)
-    deg = len(phi) - 1
-    low = tuple((j, c) for j, c in enumerate(phi[:deg]) if c)
-    return deg, low, tuple(k for k in units(m) if k != 1)
+from .cycrows import apply, cyclotomic_poly, echelon, mac, reduce_mod, ring
 
 
 def _cyc(level: int, num: list[int], den: int) -> "CycNum":
     """The element num/den of Q(zeta_level) in canonical form.  num is an
     integer coefficient list of any length; it is reduced in place."""
-    deg, low, _ = _ring(level)
-    if len(num) > deg:
-        for i in range(len(num) - 1, deg - 1, -1):
-            c = num[i]
-            if c:
-                base = i - deg
-                for j, pj in low:
-                    num[base + j] -= c * pj
-        del num[deg:]
-    elif len(num) < deg:
-        num.extend([0] * (deg - len(num)))
+    deg, low, _ = ring(level)
+    reduce_mod(num, deg, low)
     if den != 1:
         g = math.gcd(den, *num)
         if g != 1:
             num = [c // g for c in num]
             den //= g
+    return _raw(level, tuple(num), den)
+
+
+def _raw(level: int, num: tuple[int, ...], den: int) -> "CycNum":
+    """The element num/den, with num and den already canonical."""
     out = object.__new__(CycNum)
-    out.level, out.num, out.den = level, tuple(num), den
+    out.level, out.num, out.den = level, num, den
     return out
 
 
@@ -142,18 +102,21 @@ class CycNum:
         return _cyc(self.level, [a * fa + b * fb for a, b in zip(self.num, other.num)], den)
 
     def __neg__(self) -> "CycNum":
-        return _cyc(self.level, [-a for a in self.num], self.den)
+        return _raw(self.level, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other) -> "CycNum":
+        """A rational factor scales the other one's numerators; otherwise
+        the numerators are convolved and reduced once."""
         other = _coerce(other, self.level)
         self._check(other)
         a, b = self.num, other.num
+        if not any(a[1:]):
+            a, b = b, a
+        if not any(b[1:]):
+            k = b[0]
+            return _cyc(self.level, [k * x for x in a], self.den * other.den)
         prod = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
+        mac(prod, a, b)
         return _cyc(self.level, prod, self.den * other.den)
 
     __rmul__ = __mul__
@@ -167,7 +130,7 @@ class CycNum:
         x = _cyc(level, list(self.num), 1)
         prod = CycNum.one(level)
         # a rational num is already an integer: P = 1 will do
-        for k in _ring(level)[2] if any(x.num[1:]) else ():
+        for k in ring(level)[2] if any(x.num[1:]) else ():
             conj = [0] * level
             for i, c in enumerate(x.num):
                 conj[i * k % level] += c
@@ -244,11 +207,11 @@ def poly_from_roots(d: int, exponents: Sequence[int]) -> list[CycNum]:
     return coeffs
 
 
-def _over_common_den(entries: Sequence[CycNum]) -> tuple[list[list[tuple[int, int]]], int]:
-    """The entries as numerators over their least common denominator: per
-    entry the nonzero (degree, numerator) pairs, and that denominator."""
-    den = math.lcm(*(x.den for x in entries))
-    return [[(i, c * (den // x.den)) for i, c in enumerate(x.num) if c] for x in entries], den
+def _over_common_den(entries: Sequence[CycNum], den: int = 0) -> tuple[list[list[int]], int]:
+    """The entries as integer coefficient lists over den, by default their
+    least common denominator, and that denominator."""
+    den = den or math.lcm(*(x.den for x in entries))
+    return [[c * (den // x.den) for c in x.num] for x in entries], den
 
 
 class CycMatrix:
@@ -280,7 +243,14 @@ class CycMatrix:
             and self.entries == other.entries
         )
 
+    def _check(self, other: "CycMatrix") -> None:
+        if self.level != other.level:
+            raise ValueError(f"level mismatch: {self.level} vs {other.level}")
+
     def __sub__(self, other: "CycMatrix") -> "CycMatrix":
+        self._check(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("dimension mismatch")
         return CycMatrix(
             self.level,
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
@@ -289,10 +259,11 @@ class CycMatrix:
     def __mul__(self, other: "CycMatrix") -> "CycMatrix":
         """Each entry is one integer sum of row-by-column products over the
         common denominator of its row and column, reduced once."""
+        self._check(other)
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         level = self.level
-        width = 2 * _ring(level)[0] - 1
+        width = 2 * ring(level)[0] - 1
         rows = [_over_common_den(row) for row in self.entries]
         cols = [_over_common_den(col) for col in zip(*other.entries)]
         out = []
@@ -301,10 +272,8 @@ class CycMatrix:
             for ys, yden in cols:
                 acc = [0] * width
                 for x, y in zip(xs, ys):
-                    if x and y:
-                        for i, a in x:
-                            for j, b in y:
-                                acc[i + j] += a * b
+                    if any(x) and any(y):
+                        mac(acc, x, y)
                 row.append(_cyc(level, acc, xden * yden))
             out.append(row)
         return CycMatrix(level, out)
@@ -314,11 +283,11 @@ class CycMatrix:
             raise ValueError("power of non-square matrix")
         return _power(self, k, CycMatrix.identity(self.level, self.rows))
 
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.entries for x in row)
-
     def rank(self) -> int:
-        return _forward([row[:] for row in self.entries], self.cols)[0]
+        """The number of rows of an echelon basis of the row space (see
+        cycrows.echelon), computed without inverting an entry."""
+        deg, low, _ = ring(self.level)
+        return len(echelon([_over_common_den(row)[0] for row in self.entries], deg, low))
 
     def det(self) -> CycNum:
         if self.rows != self.cols:
@@ -389,13 +358,25 @@ class NotUnipotent(Exception):
 
 def unipotent_block_sizes(m: CycMatrix) -> list[int]:
     """Jordan block sizes of a unipotent matrix, largest first, from r_k =
-    rank((M-I)^k): there are r_(k-1) - 2 r_k + r_(k+1) blocks of size k."""
-    n = m.rows
-    powers = [m - CycMatrix.identity(m.level, n)]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * powers[0])
-    if not powers[-1].is_zero():
-        raise NotUnipotent("(M - I)^n != 0")
-    # r_0 = n and (M-I)^n = 0, so only the powers between are ranked
-    ranks = [n] + [p.rank() for p in powers[:-1]] + [0, 0]
+    dim N^k V for N = M - I: there are r_(k-1) - 2 r_k + r_(k+1) blocks of
+    size k.  No power of N is formed: the image of N^k is spanned by N
+    applied to an echelon basis of the image of N^(k-1), on integer rows
+    (N over the common denominator of its entries).  The ranks fall at each
+    step until they reach 0, within n steps; a step that keeps the rank
+    shows N is not nilpotent."""
+    if m.rows != m.cols:
+        raise ValueError("block sizes of non-square matrix")
+    n, level = m.rows, m.level
+    deg, low, _ = ring(level)
+    nil = (m - CycMatrix.identity(level, n)).entries
+    den = math.lcm(*(x.den for row in nil for x in row))
+    nil = [_over_common_den(row, den)[0] for row in nil]
+    ranks = [n]
+    image = echelon([list(col) for col in zip(*nil)], deg, low)
+    while image:
+        if len(image) == ranks[-1]:
+            raise NotUnipotent("(M - I)^n != 0")
+        ranks.append(len(image))
+        image = echelon([apply(nil, v, deg, low) for v in image], deg, low)
+    ranks += [0] * (n + 2 - len(ranks))
     return [k for k in range(n, 0, -1) for _ in range(ranks[k - 1] - 2 * ranks[k] + ranks[k + 1])]

@@ -25,6 +25,12 @@ from .residues import is_prime, prime_divisors, units
 # PrimeFieldCtx keeps a discrete-log table of l entries
 MAX_ELL = 10**6
 
+# jacobi2 keeps its sums keyed by (d, l, a mod d, b mod d) with a <= b, as
+# J(a, b) = J(b, a) (x -> 1 - x) and l fixes the generator; the 19 special
+# rows need 712 sums for 1,272 calls.  A full memo is emptied.
+JACOBI2_MEMO_MAX = 4096
+_jacobi2_memo: Dict[Tuple[int, int, int, int], CycNum] = {}
+
 
 class DegenerateIndices(Exception):
     pass
@@ -74,14 +80,23 @@ class PrimeFieldCtx:
 
 
 def jacobi2(ctx: PrimeFieldCtx, a: int, b: int) -> CycNum:
-    """-sum_{x != 0,1} tau(x)^{-a} tau(1-x)^{-b}, exact."""
+    """-sum_{x != 0,1} tau(x)^{-a} tau(1-x)^{-b}, exact; memoised."""
     d, ell = ctx.d, ctx.ell
     if a % d == 0 or b % d == 0 or (a + b) % d == 0:
         raise DegenerateIndices(f"a={a}, b={b} mod {d}")
-    coeffs = [0] * d  # coeffs[e]: minus the number of terms equal to zeta_d^e
-    for x in range(2, ell):
-        coeffs[(-a * ctx.dlog[x] - b * ctx.dlog[(1 - x) % ell]) % d] -= 1
-    return CycNum(d, coeffs)
+    a, b = sorted((a % d, b % d))
+    key = (d, ell, a, b)
+    out = _jacobi2_memo.get(key)
+    if out is None:
+        coeffs = [0] * d  # coeffs[e]: minus the number of terms equal to zeta_d^e
+        dlog = ctx.dlog
+        for x in range(2, ell):
+            coeffs[(-a * dlog[x] - b * dlog[ell + 1 - x]) % d] -= 1
+        out = CycNum(d, coeffs)
+        if len(_jacobi2_memo) >= JACOBI2_MEMO_MAX:
+            _jacobi2_memo.clear()
+        _jacobi2_memo[key] = out
+    return out
 
 
 def jacobi(ctx: PrimeFieldCtx, a_vec: Sequence[int]) -> CycNum:
@@ -93,32 +108,31 @@ def jacobi(ctx: PrimeFieldCtx, a_vec: Sequence[int]) -> CycNum:
     Write chi_i = tau^{-a_i}, g(a) for the Gauss sum of tau^{-a}, and
     J_std = sum_{x_1+...+x_m=1} prod chi_i(x_i) (Ireland-Rosen, ch. 8 s. 5).
     Substituting x -> -x gives J = (-1)^m prod chi_i(-1) J_std, and
-    prod chi_i(-1) = tau(-1)^{-sum a} is chi_m1.  The loop keeps
-    prod g(a_i) = ACC g(S) ell^z, from ACC = -1 and S = 0 as g(0) = -1, by
-    g(a)g(-a) = tau(-1)^a ell and g(a)g(b) = -jacobi2(a, b) g(a+b) for
-    a, b, a+b nonzero.  All chi_i are nontrivial, so J_std = prod g / g(S)
-    = ACC ell^z when S != 0, and -prod g / ell = ACC ell^(z-1) when S = 0."""
+    prod chi_i(-1) = tau(-1)^{-sum a} is chi_m1.  After i components the
+    loop keeps prod g(a_i) = (-1)^(i+1) P g(S) ell^z, from P = 1 and S = 0
+    as g(0) = -1, by g(a)g(-a) = tau(-1)^a ell and g(a)g(b) =
+    -jacobi2(a, b) g(a+b) for a, b, a+b nonzero.  All chi_i are
+    nontrivial, so J_std = prod g / g(S) when S != 0 and -prod g / ell when
+    S = 0; either way J = -chi_m1 P ell^(z - [S = 0])."""
     d, ell = ctx.d, ctx.ell
     if any(a % d == 0 for a in a_vec):
         raise ZeroVector("a component vanishes mod d")
     tm1 = ctx.tau_minus_one_exp()
-    acc = -CycNum.one(d)
+    acc = CycNum.one(d)
     s = z = 0
     for a in a_vec:
         a %= d
         if s == 0:
-            acc = -acc
             s = a
         elif (s + a) % d == 0:
-            acc = -(acc * root_of_unity(d, tm1 * s))
+            acc = acc * root_of_unity(d, tm1 * s)
             z += 1
             s = 0
         else:
-            acc = acc * (-jacobi2(ctx, s, a))
+            acc = acc * jacobi2(ctx, s, a)
             s = (s + a) % d
-    sign = -1 if len(a_vec) % 2 else 1
     chi_m1 = root_of_unity(d, -tm1 * sum(a_vec))
-    return sign * chi_m1 * acc * ell ** (z - (s == 0))
+    return -(ell ** (z - (s == 0))) * chi_m1 * acc
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from typing import List, Tuple
 
 from .criteria import jordan_blocks, pseudoreflection_det
 from .cyclo import CycMatrix, CycNum, poly_from_roots, root_of_unity, unipotent_block_sizes
+from .cycrows import companion_step, ring
 from .params import HgParam
 from .residues import bracket
 
@@ -41,6 +42,35 @@ def _companion(coeffs: List[CycNum]) -> CycMatrix:
     return CycMatrix(level, rows)
 
 
+def companion_power(m: CycMatrix, k: int) -> CycMatrix:
+    """m**k for a companion matrix m over Z[zeta], as _companion builds
+    them: ones just below the diagonal, zeros elsewhere outside the last
+    column, and an integral last column; anything else raises ValueError.
+    As m e_j = e_(j+1) for j < n-1, column j of m**k is m**(k+j) e_0, so the
+    columns are read off the Krylov walk v_(i+1) = m v_i from v_0 = e_0: a
+    shift plus a multiple of the last column, on integer coefficient lists."""
+    if k < 0:
+        raise ValueError(f"negative exponent {k}: take inv() first")
+    n, level = m.rows, m.level
+    one, zero = CycNum.one(level), CycNum.zero(level)
+    if (
+        m.cols != n
+        or any(row[-1].den != 1 for row in m.entries)
+        or any(m.entries[i][j] != (one if i == j + 1 else zero) for i in range(n) for j in range(n - 1))
+    ):
+        raise ValueError("not a companion matrix over Z[zeta]")
+    deg, low, _ = ring(level)
+    last = [list(row[-1].num) for row in m.entries]
+    v = [list(one.num)] + [[0] * deg] * (n - 1)
+    cols = []
+    for i in range(k + n):
+        if i:
+            v = companion_step(v, last, deg, low)
+        if i >= k:
+            cols.append(v)
+    return CycMatrix(level, [[CycNum(level, col[i]) for col in cols] for i in range(n)])
+
+
 def levelt_matrices(p: HgParam) -> LeveltPair:
     ca = poly_from_roots(p.d, p.alphas)
     cb = poly_from_roots(p.d, p.betas)
@@ -59,9 +89,10 @@ def _char_poly_check(m: CycMatrix, exponents) -> bool:
     # each claimed root z must make zI - M singular; exact, once per
     # distinct root
     n = m.rows
+    neg = [[-x for x in row] for row in m.entries]
     for e in set(exponents):
         z = root_of_unity(m.level, e)
-        rows = [[-x for x in row] for row in m.entries]
+        rows = [row[:] for row in neg]
         for i in range(n):
             rows[i][i] = rows[i][i] + z
         if CycMatrix(m.level, rows).rank() == n:
@@ -86,13 +117,15 @@ def verify_pseudoreflection(p: HgParam) -> bool:
 
 def verify_infinity_blocks(p: HgParam) -> bool:
     """A^d is unipotent with Jordan block sizes equal to the alpha
-    multiplicities.
+    multiplicities.  A^d is read off the Krylov walk of the companion
+    matrix A (companion_power), and the block sizes off the image chain of
+    A^d - I.
 
     Holds by construction on every valid parameter: a companion matrix is
     cyclic, and J_m(z)^d is a single block in characteristic 0.  So this
     tests the cyclo arithmetic, not the criteria."""
     pair, _ = _levelt(p)
-    ad = pair.a ** p.d
+    ad = companion_power(pair.a, p.d)
     return unipotent_block_sizes(ad) == jordan_blocks(p)
 
 
@@ -156,6 +189,10 @@ def verify_annihilation(p: HgParam, j: int, big_k: int) -> bool:
     exponent d (equivalently, the stored exponent-0 series starts with
     c_{-1} = 0 shifted by one step).
 
+    Each order compares c_k P_k with c_(k-1) Q_k, P_k and Q_k the two
+    integer products, cross-multiplied by the coefficients' denominators,
+    so it is one integer equation.
+
     Holds by construction on every valid parameter: gj_coefficients steps
     the series by the very ratio the operator asks of consecutive
     coefficients.  So this tests the series code and the recurrence, not
@@ -167,10 +204,16 @@ def verify_annihilation(p: HgParam, j: int, big_k: int) -> bool:
     b1 = p.betas[0]
     sb = [bracket(b - b1, d) for b in p.betas]
     sa = [bracket(a - b1, d) for a in p.alphas]
+    coeffs = ser.coeffs
     for k in range(big_k + 1):
-        step = e + d * k
-        lhs = ser.coeffs[k] * math.prod(step + x - d for x in sb)
-        rhs = ser.coeffs[k - 1] * math.prod(step + x - d for x in sa) if k else 0
+        step = e + d * k - d
+        c = coeffs[k]
+        lhs = c.numerator * math.prod(step + x for x in sb)
+        rhs = 0
+        if k:
+            prev = coeffs[k - 1]
+            lhs *= prev.denominator
+            rhs = prev.numerator * c.denominator * math.prod(step + x for x in sa)
         if lhs != rhs:
             return False
     return True

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from hgsearch.cyclo import (
     root_of_unity,
     unipotent_block_sizes,
 )
-from hgsearch.monodromy import levelt_matrices
+from hgsearch.monodromy import companion_power, levelt_matrices
 from hgsearch.params import validate
 
 
@@ -135,8 +136,9 @@ class RefCyc:
         cs = [Fraction(c) for c in coeffs]
         for i in range(len(cs) - 1, deg - 1, -1):
             c = cs[i]
-            for j in range(deg + 1):
-                cs[i - deg + j] -= c * phi[j]
+            if c:
+                for j in range(deg + 1):
+                    cs[i - deg + j] -= c * phi[j]
         cs = cs[:deg]
         self.level = level
         self.coeffs = tuple(cs + [Fraction(0)] * (deg - len(cs)))
@@ -153,8 +155,10 @@ class RefCyc:
     def __mul__(self, other):
         prod = [Fraction(0)] * (2 * len(self.coeffs) - 1)
         for i, x in enumerate(self.coeffs):
-            for j, y in enumerate(other.coeffs):
-                prod[i + j] += x * y
+            if x:
+                for j, y in enumerate(other.coeffs):
+                    if y:
+                        prod[i + j] += x * y
         return RefCyc(self.level, prod)
 
     def __eq__(self, other):
@@ -198,7 +202,8 @@ def _ref_matmul(a, b):
         for col in zip(*b):
             acc = RefCyc(level, [])
             for x, y in zip(row, col):
-                acc = acc + x * y
+                if not (x.is_zero() or y.is_zero()):
+                    acc = acc + x * y
             out_row.append(acc)
         out.append(out_row)
     return out
@@ -378,4 +383,83 @@ def test_levelt_power_and_blocks_match_fraction_reference(p):
         rad = _ref_matmul(rad, ra)
     ad = a ** p.d
     assert _coeffs_of(ad) == _coeffs_of(rad)
+    assert companion_power(a, p.d) == ad
     assert unipotent_block_sizes(ad) == _ref_block_sizes(rad)
+
+
+def test_matrix_product_refuses_mixed_levels():
+    # [[zeta_5]] * [[zeta_7^6]] read zeta_7^6 at level 5 and gave [[-zeta_5]]
+    with pytest.raises(ValueError, match="level mismatch"):
+        CycMatrix(5, [[root_of_unity(5, 1)]]) * CycMatrix(7, [[root_of_unity(7, 6)]])
+
+
+def test_matrix_difference_refuses_mixed_shapes_and_levels():
+    # zip cut a 3 x 3 minus a 2 x 2 down to a 2 x 2
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        CycMatrix.identity(5, 3) - CycMatrix.identity(5, 2)
+    with pytest.raises(ValueError, match="level mismatch"):
+        CycMatrix.identity(5, 2) - CycMatrix.identity(7, 2)
+
+
+def test_block_sizes_refuse_a_non_square_matrix():
+    # a 2 x 3 matrix gave [1, 1]
+    one, zero = CycNum.one(5), CycNum.zero(5)
+    with pytest.raises(ValueError, match="non-square"):
+        unipotent_block_sizes(CycMatrix(5, [[one, zero, zero], [zero, one, zero]]))
+
+
+def _partitions(n, top):
+    """The partitions of n into parts of at most top, largest part first."""
+    if n == 0:
+        yield []
+    for k in range(min(n, top), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield [k] + rest
+
+
+def _entry(rng, level):
+    """0, +-1, a root of unity or half of one, with equal chances."""
+    z = root_of_unity(level, rng.randrange(level))
+    return rng.choice([CycNum.zero(level), CycNum.one(level), -CycNum.one(level), z, z * Fraction(1, 2)])
+
+
+def _conjugated_jordan(rng, level, sizes):
+    """P J P^-1 for J the unipotent Jordan matrix with the given block sizes
+    and P = L U, L and U unitriangular and bidiagonal with seeded entries."""
+    n = sum(sizes)
+    one, zero = CycNum.one(level), CycNum.zero(level)
+    jordan = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size - 1):
+            jordan[i][i + 1] = one
+        start += size
+    lower = [[one if i == j else _entry(rng, level) if j == i - 1 else zero for j in range(n)] for i in range(n)]
+    upper = [[one if i == j else _entry(rng, level) if j == i + 1 else zero for j in range(n)] for i in range(n)]
+    p = CycMatrix(level, lower) * CycMatrix(level, upper)
+    return p * CycMatrix(level, jordan) * p.inv()
+
+
+@pytest.mark.parametrize("level", [5, 9, 12, 20])
+def test_block_sizes_of_conjugated_jordan_matrices_match_fraction_reference(level):
+    rng = random.Random(level)
+    for n in range(1, 7):
+        for sizes in _partitions(n, n):
+            m = _conjugated_jordan(rng, level, sizes)
+            assert unipotent_block_sizes(m) == sizes == _ref_block_sizes(_ref_matrix(m)), (n, sizes)
+    # a unipotent matrix times zeta on one basis vector is not unipotent
+    m = _conjugated_jordan(rng, level, [2, 1])
+    m.entries[2] = [x * root_of_unity(level, 1) for x in m.entries[2]]
+    with pytest.raises(NotUnipotent):
+        unipotent_block_sizes(m)
+
+
+@pytest.mark.parametrize("level", [5, 9, 12, 20])
+def test_rank_of_seeded_low_rank_matrices_matches_fraction_reference(level):
+    # X Y with X rows x r and Y r x cols, entries seeded, so rank <= r
+    rng = random.Random(100 + level)
+    for rows, cols, r in [(2, 2, 1), (3, 3, 2), (4, 4, 2), (5, 5, 3), (6, 6, 5), (3, 6, 2), (6, 3, 2)]:
+        x = CycMatrix(level, [[_entry(rng, level) for _ in range(r)] for _ in range(rows)])
+        y = CycMatrix(level, [[_entry(rng, level) for _ in range(cols)] for _ in range(r)])
+        m = x * y
+        assert m.rank() == _ref_eliminated(_ref_matrix(m))[1] <= r, (rows, cols, r)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from hgsearch import jacobi as jacobi_module
 from hgsearch.cyclo import CycNum, root_of_unity
 from hgsearch.jacobi import (
     PrimeFieldCtx,
@@ -128,6 +129,35 @@ def test_motive_valuations_match_hodge():
     vals = motive_valuations(p, 19)
     assert sorted(vals[1]) == [2, 3, 4]
     assert hodge_newton_check(p, 19)
+
+
+def test_jacobi2_memo_keeps_primes_and_orders_apart(monkeypatch):
+    # one parameter at two primes 1 mod 9, in either order, against cold runs
+    p = parse("d=9;a=0,0,0;b=1,2,6")
+    memo = jacobi_module._jacobi2_memo
+    cold = {}
+    for ell in (19, 37):
+        memo.clear()
+        cold[ell] = motive_valuations(p, ell)
+    for order in ((19, 37), (37, 19)):
+        memo.clear()
+        for ell in order:
+            assert motive_valuations(p, ell) == cold[ell], (order, ell)
+            assert len(memo) <= jacobi_module.JACOBI2_MEMO_MAX
+    # one key serves J(a, b) and J(b, a)
+    ctx = PrimeFieldCtx(9, 37)
+    for a, b in itertools.permutations(range(1, 9), 2):
+        if (a + b) % 9:
+            memo.clear()
+            ab = jacobi2(ctx, a, b)
+            memo.clear()
+            assert jacobi2(ctx, b, a) == ab, (a, b)
+    # a full memo is emptied, and answers do not change
+    monkeypatch.setattr(jacobi_module, "JACOBI2_MEMO_MAX", 5)
+    memo.clear()
+    for ell in (19, 37, 19):
+        assert motive_valuations(p, ell) == cold[ell]
+        assert 0 < len(memo) <= 5
 
 
 def _newton_roots(ctx, prec):

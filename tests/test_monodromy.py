@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hgsearch import monodromy
-from hgsearch.cyclo import CycMatrix
+from hgsearch.cyclo import CycMatrix, CycNum
 from hgsearch.monodromy import (
     TruncSeries,
+    companion_power,
     gj_coefficients,
     levelt_matrices,
     verify_annihilation,
@@ -140,3 +141,30 @@ def test_series_coefficient_oracle():
     num = Fraction(17, 9) ** 3
     den = Fraction(9, 9) * Fraction(10, 9) * Fraction(14, 9)
     assert ser.coeffs[1] == num / den
+
+
+def test_companion_power_matches_square_and_multiply_on_special_rows():
+    for row in SPECIAL_ROWS:
+        p = row_param(row)
+        a = levelt_matrices(p).a
+        for k in sorted({0, 1, p.n - 1, p.n, p.d, 2 * p.d + 1}):
+            assert companion_power(a, k) == a ** k, (p.literal(), k)
+
+
+def test_companion_power_refuses_other_matrices():
+    a = levelt_matrices(row_param(SPECIAL_ROWS[0])).a
+    rows = a.entries
+    half = CycNum.from_rational(a.level, Fraction(1, 2))
+    bumped = [row[:] for row in rows]
+    bumped[1][0] = bumped[1][0] + 1
+    others = [
+        CycMatrix(a.level, [list(col) for col in zip(*rows)]),  # transposed
+        CycMatrix(a.level, [row[:-1] + [row[-1] * half] for row in rows]),  # last column not integral
+        CycMatrix(a.level, bumped),  # a 2 below the diagonal
+        CycMatrix(a.level, rows[:-1]),  # not square
+    ]
+    for m in others:
+        with pytest.raises(ValueError, match="not a companion matrix"):
+            companion_power(m, 3)
+    with pytest.raises(ValueError, match="negative exponent"):
+        companion_power(a, -1)
