@@ -12,10 +12,9 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .intlattice import NoSolution, SmithForm, lattice_coordinates, smith_form, solve_lattice
 from .params import MAX_D, HgParam
@@ -321,8 +320,7 @@ def _good_point(d: int, n: int, image: Sequence[int]) -> bool:
     )
 
 
-@dataclass
-class _StrictPlan:
+class _StrictPlan(NamedTuple):
     """The strict clause-(iv) solve at modulus d, from the Smith form
     U M V = D of the epsilon matrix M (_e_lattice).
 
@@ -345,7 +343,7 @@ class _StrictPlan:
     kernel_images: Tuple[Tuple[int, ...], ...]
     quotient: Tuple[Tuple[int, ...], ...]  # the kept rows of Uq
     key_mods: Tuple[int, ...]
-    verdicts: Dict[Tuple[int, Tuple[int, ...]], bool] = field(default_factory=dict)  # by (n, key)
+    verdicts: Dict[Tuple[int, Tuple[int, ...]], bool]  # by (n, key), one dict per d
 
 
 @lru_cache(maxsize=None)
@@ -367,6 +365,7 @@ def _strict_plan(d: int) -> _StrictPlan:
         kernel_images=kernel_images,
         quotient=tuple(tuple(q.u[i]) for i in keep),
         key_mods=tuple(q.diag[i] for i in keep),
+        verdicts={},
     )
 
 
@@ -529,8 +528,7 @@ def bm_published(p: HgParam) -> bool:
 # Full report
 
 
-@dataclass
-class CriteriaReport:
+class CriteriaReport(NamedTuple):
     param: HgParam
     hodge: Dict[int, List[int]]
     regular: bool

@@ -11,16 +11,14 @@ matrices is plenty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
 def _identity(k: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
-@dataclass
-class SmithForm:
+class SmithForm(NamedTuple):
     """U @ A @ V = S with U, V unimodular and S diagonal (divisibility chain
     is not needed here, only the diagonal-with-zeros shape)."""
 

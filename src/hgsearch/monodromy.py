@@ -7,10 +7,9 @@ via the coefficient recurrence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .criteria import jordan_blocks, pseudoreflection_det
 from .cyclo import CycMatrix, CycNum, poly_from_roots, root_of_unity, unipotent_block_sizes
@@ -22,8 +21,7 @@ from .residues import bracket
 MAX_ORDER = 1000
 
 
-@dataclass(frozen=True)
-class LeveltPair:
+class LeveltPair(NamedTuple):
     a: CycMatrix
     b: CycMatrix
 
@@ -150,8 +148,7 @@ def verify_det_identities(p: HgParam) -> bool:
 # Formal series solutions
 
 
-@dataclass(frozen=True)
-class TruncSeries:
+class TruncSeries(NamedTuple):
     exponent: int
     coeffs: Tuple[Fraction, ...]
 

@@ -14,15 +14,13 @@ import itertools
 import json
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .criteria import bm, bm_published, find_c, is_regular, regular_room
 from .params import MAX_D, MAX_N, MAX_WORKERS, HgParam, canonical_form, parse, validate
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class _SpecFields(NamedTuple):
     n: int
     partition: Tuple[int, ...]
     d_min: int
@@ -36,7 +34,16 @@ class SearchSpec:
     # the criteria exactly as stated.
     published: bool = True
 
-    def __post_init__(self):
+
+class SearchSpec(_SpecFields):
+    """A search's settings, refused unless valid on every path to one: the
+    constructor, _make and _replace."""
+
+    __slots__ = ()
+
+    # a NamedTuple may not define __new__ in its own body, hence the subclass
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if sum(self.partition) != self.n:
             raise ValueError("partition does not sum to n")
         if self.n > MAX_N:
@@ -53,6 +60,12 @@ class SearchSpec:
         # scaling-invariant, so one orbit member cannot stand for the rest.
         if self.dedup_by_scaling and self.published:
             raise ValueError("dedup by scaling needs the strict criteria")
+        return self
+
+    # the generated _make, which _replace calls, builds the tuple directly
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def fingerprint(self) -> dict:
         """The settings besides the chunk key that change a chunk's results."""

@@ -7,17 +7,15 @@ search finds a passing parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .criteria import CriteriaReport, bm_finite, full_report
 from .params import HgParam, validate
 from .residues import UnitSubgroup, closure
 
 
-@dataclass(frozen=True)
-class SpecialRow:
+class SpecialRow(NamedTuple):
     n: int
     d: int
     alphas: Tuple[int, ...]
@@ -125,8 +123,7 @@ def row_param(row: SpecialRow) -> HgParam:
     return validate(row.d, row.alphas, row.betas)
 
 
-@dataclass
-class RowVerdict:
+class RowVerdict(NamedTuple):
     row: SpecialRow
     report: CriteriaReport
     bm_documented: bool

@@ -1042,6 +1042,15 @@ def test_coset_test_matches_direct_scan():
     assert outcomes == {True: {True, False}, False: {True, False}}
 
 
+def test_each_modulus_has_its_own_coset_verdicts():
+    # the verdicts are keyed by (n, coset key) without d, so one dict shared
+    # by every modulus would let one d's verdict answer for another's
+    from hgsearch.criteria import _strict_plan
+
+    plans = [_strict_plan(d) for d in range(5, 19)]
+    assert len({id(plan.verdicts) for plan in plans}) == len(plans)
+
+
 def _reference_bm_failures(p):
     """The BM bullets that fail, each evaluated from its statement."""
     d, a, b = p.d, list(p.alphas), list(p.betas)

@@ -4,6 +4,7 @@ under the grammar of the oldest Python that pyproject.toml accepts."""
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,3 +34,15 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # every check, verify and benchmark round is its own short process, and
+    # dataclasses pulls in inspect, ast, dis and tokenize at start-up
+    code = (
+        "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+        "import hgsearch, hgsearch.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(SRC.parent)], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -2,14 +2,17 @@ import itertools
 import json
 import os
 import random
+import subprocess
+import sys
 from collections import Counter
-from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from hgsearch import search
 from hgsearch.criteria import bm, det_condition, is_regular, jordan_blocks, regular_room
-from hgsearch.params import canonical_form, validate
+from hgsearch.monodromy import gj_coefficients, levelt_matrices
+from hgsearch.params import MAX_D, MAX_N, canonical_form, validate
 from hgsearch.search import (
     CheckpointError,
     SearchSpec,
@@ -66,9 +69,9 @@ def test_check_one_row():
     "row, field, want",
     [
         # the listed c decides (D); (0,0,0) does not pass on the first row
-        (replace(SPECIAL_ROWS[0], c=(0, 0, 0)), "D", {"pass": False, "c": None}),
+        (SPECIAL_ROWS[0]._replace(c=(0, 0, 0)), "D", {"pass": False, "c": None}),
         # the stabiliser {1,9,11,19} is not inside U = {1,19}
-        (replace(SPECIAL_ROWS[11], u_gens=(-1,)), "U", False),
+        (SPECIAL_ROWS[11]._replace(u_gens=(-1,)), "U", False),
         # beta an arithmetic progression, and not a documented discrepancy
         (
             SpecialRow(4, 12, (0, 0, 0, 0), (3, 4, 5, 6), (2, 11, 11), (-1,)),
@@ -228,6 +231,49 @@ def test_search_spec_refuses_a_bad_worker_count():
         assert SearchSpec(n=3, partition=(3,), d_min=9, d_max=9, workers=workers).workers == workers
 
 
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (dict(partition=(2,)), "sum to n"),
+        (dict(n=MAX_N + 1, partition=(MAX_N + 1,)), "n = .* above the cap"),
+        (dict(d_max=MAX_D + 1), "d_max = .* above the cap"),
+        (dict(workers=0), "workers"),
+        (dict(limit=-1), "limit"),
+        (dict(partition=(1, 2)), "non-increasing"),
+        (dict(dedup_by_scaling=True), "strict"),
+    ],
+)
+def test_search_spec_refuses_on_every_path_to_one(bad, match):
+    # a spec is a tuple, and _make and _replace must not build one round
+    # the refusals the constructor makes
+    good = SearchSpec(n=3, partition=(3,), d_min=9, d_max=9)
+    fields = {**good._asdict(), **bad}
+    paths = {
+        "keyword": lambda: SearchSpec(**fields),
+        "positional": lambda: SearchSpec(*fields.values()),
+        "_make": lambda: SearchSpec._make(fields.values()),
+        "_replace": lambda: good._replace(**bad),
+    }
+    for path, build in paths.items():
+        with pytest.raises(ValueError, match=match):
+            build()
+            pytest.fail(f"{path} built a spec with {bad}")
+    assert good._replace(workers=2) == SearchSpec(n=3, partition=(3,), d_min=9, d_max=9, workers=2)
+
+
+def test_records_are_frozen():
+    p = row_param(SPECIAL_ROWS[0])
+    records = {
+        "workers": SearchSpec(n=3, partition=(3,), d_min=9, d_max=9),
+        "c": SPECIAL_ROWS[0],
+        "a": levelt_matrices(p),
+        "coeffs": gj_coefficients(p, 1, 2),
+    }
+    for name, record in records.items():
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
 @pytest.mark.parametrize("part, d, candidates, let_through", [((3, 2, 1), 11, 240, 0), ((3, 3), 12, 198, 67)])
 def test_search_validates_every_candidate_and_asks_r_past_the_room(monkeypatch, part, d, candidates, let_through):
     # one validate call per candidate of the brute-force list, and is_regular
@@ -378,6 +424,33 @@ def test_dedup_keeps_the_least_passing_member_of_every_orbit():
             assert r == min(orbits[_orbit(r)], key=_row_key), r
             moved += _orbit(r) != validate(r["d"], r["alpha"], r["beta"])
     assert moved == 2
+
+
+# one d per process, so no cache of the strict (D) solve outlives its modulus
+COLD_STRICT_SEARCH = """
+import json, sys
+from hgsearch.search import SearchSpec, run_search
+d = int(sys.argv[1])
+print(json.dumps([run_search(SearchSpec(n=4, partition=p, d_min=d, d_max=d, published=False)) for p in ((2, 2), (3, 1))]))
+"""
+
+
+def test_strict_search_in_one_process_matches_each_modulus_run_cold():
+    # the strict (D) solve keys its coset verdicts by (n, key) alone, so a
+    # verdict cache shared across moduli would answer one d from another:
+    # the answers up to d=23 would hold, and 16 (2,2) and 14 (3,1) rows too
+    # many would pass at d=24
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    cold = {(2, 2): [], (3, 1): []}
+    for d in range(5, 25):
+        out = subprocess.run(
+            [sys.executable, "-c", COLD_STRICT_SEARCH, str(d)], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        for part, rows in zip(cold, json.loads(out)):
+            cold[part] += rows
+    for part, rows in cold.items():
+        assert run_search(SearchSpec(n=4, partition=part, d_min=5, d_max=24, published=False)) == rows, part
+    assert cold[(2, 2)] and cold[(3, 1)]
 
 
 def _strict_dedup(**kw):
