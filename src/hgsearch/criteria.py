@@ -321,97 +321,51 @@ def _good_point(d: int, n: int, image: Sequence[int]) -> bool:
 
 
 class _StrictPlan(NamedTuple):
-    """The strict clause-(iv) solve at modulus d, from the Smith form
-    U M V = D of the epsilon matrix M (_e_lattice).
+    """Strict clause (iv) at (d, n), from the Smith form U M V = D of the
+    epsilon matrix M (_e_lattice).  With y = U f, lattice_coordinates gives
+    z with D z = y[:r], and x = V[:, :r] z solves M x = f; the columns of V
+    past the rank span the kernel, whose gamma images generate a group K.
+    Some solution meets the coprimality conditions exactly when h + K meets
+    the good set H, for h the image of x in Z/4d x (Z/2d)^m.
 
-    With y = U f, lattice_coordinates gives z with D z = y[:r], and then
-    x = V[:, :r] z is one integer solution of M x = f.  Its gamma image is
-    w z reduced mod the moduli (4d, 2d, ...), with w = Gamma V[:, :r] for
-    the linear map Gamma that gamma_exponents applies.  The columns of V
-    past the rank are a kernel basis, and their images generate the kernel
-    image group K.  The verdict depends only on the image's coset h + K.
-    The Smith form Uq A Vq of A = [kernel images | 4d e_0, 2d e_1, ...]
-    keys it: h and h' lie in one coset exactly when Uq h = Uq h' mod each
-    diagonal entry of the form, and the entries equal to 1 are dropped.
+    H is a subgroup, the product of one g_i Z/M_i per coordinate.  Each
+    condition reads one coordinate y, and for each prime r | n bounds v_r(y)
+    below: b_p = D/gcd(y_p, D) with D = d or 2d, so gcd(b_p, n) = 1 exactly
+    when v_r(y_p) >= v_r(D); and phi(lcm(2 b_1, d))/phi(d) is prime to an
+    odd r always and to 2 exactly when 4 | y_1 (d odd) or 8 | y_1 (d even).
+    _strict_plan reads each g_i off _good_point along its axis, and raises
+    when a coordinate's good set is not g_i Z/M_i.  Then h + K meets H
+    exactly when h lies in the subgroup H + K, which one Smith form Uq A Vq
+    of A = [kernel images | g_i e_i] decides (g_i | M_i): the rows of Uq h
+    vanish mod their diagonal entries.  h is linear in z, so each check
+    folds w = Gamma V[:, :r] into its row and reads z directly.
     """
 
-    d: int
     sf: SmithForm
     u_delta: Tuple[Tuple[int, ...], ...]  # U delta_x at index x, zero at 0
-    w: Tuple[Tuple[int, ...], ...]
-    mods: Tuple[int, ...]
-    kernel_images: Tuple[Tuple[int, ...], ...]
-    quotient: Tuple[Tuple[int, ...], ...]  # the kept rows of Uq
-    key_mods: Tuple[int, ...]
-    verdicts: Dict[Tuple[int, Tuple[int, ...]], bool]  # by (n, key), one dict per d
+    checks: Tuple[Tuple[Tuple[int, ...], int], ...]  # (row, e): row . z = 0 mod e
 
 
 @lru_cache(maxsize=None)
-def _strict_plan(d: int) -> _StrictPlan:
+def _strict_plan(d: int, n: int) -> _StrictPlan:
     idx, sf = _e_lattice(d)
-    mods = (4 * d,) + (2 * d,) * len(prime_divisors(d))
     images = [gamma_exponents(dict(zip(idx, col)), d) for col in zip(*sf.v)]
-    # the columns of V past the rank are the kernel basis
-    kernel_images = tuple(images[sf.rank :])
-    gens = list(kernel_images) + [tuple(m * (i == j) for i in range(len(mods))) for j, m in enumerate(mods)]
+    mods = (4 * d,) + (2 * d,) * len(prime_divisors(d))
+    gens = images[sf.rank :]
+    for i, m in enumerate(mods):
+        # the other coordinates at 0, which passes each of their conditions
+        good = [t for t in range(m) if _good_point(d, n, [t * (j == i) for j in range(len(mods))])]
+        g = math.gcd(m, *good)
+        if good != list(range(0, m, g)):
+            raise ValueError(f"coordinate {i} of the gamma image has no good subgroup at d={d}, n={n}")
+        gens.append(tuple(g * (j == i) for j in range(len(mods))))
     q = smith_form(_matrix(gens, len(mods)))
-    keep = [i for i, dq in enumerate(q.diag) if dq > 1]
-    return _StrictPlan(
-        d=d,
-        sf=sf,
-        u_delta=((0,) * (d - 1),) + tuple(zip(*sf.u)),
-        w=tuple(zip(*images[: sf.rank])),
-        mods=mods,
-        kernel_images=kernel_images,
-        quotient=tuple(tuple(q.u[i]) for i in keep),
-        key_mods=tuple(q.diag[i] for i in keep),
-        verdicts={},
+    checks = tuple(
+        (tuple(sum(a * b for a, b in zip(row, im)) % e for im in images[: sf.rank]), e)
+        for row, e in zip(q.u, q.diag)
+        if e > 1
     )
-
-
-@lru_cache(maxsize=None)
-def _kernel_image_group(d: int) -> Tuple[Tuple[int, ...], ...]:
-    """The kernel image group K, the subgroup of Z/4d x (Z/2d)^m generated
-    by the images of the kernel basis, listed by a breadth-first walk."""
-    plan = _strict_plan(d)
-    zero = (0,) * len(plan.mods)
-    group = {zero}
-    frontier = [zero]
-    while frontier:
-        cur = frontier.pop()
-        for g in plan.kernel_images:
-            nxt = tuple((a + b) % m for a, b, m in zip(cur, g, plan.mods))
-            if nxt not in group:
-                group.add(nxt)
-                frontier.append(nxt)
-    return tuple(sorted(group))
-
-
-def _strict_image(plan: _StrictPlan, y: Sequence[int]) -> Optional[Tuple[int, ...]]:
-    """The gamma image of an integer solution of M x = f, given y = U f, or
-    None when there is none."""
-    z = lattice_coordinates(plan.sf, y)
-    if z is None:
-        return None
-    return tuple(sum(a * b for a, b in zip(row, z)) % m for row, m in zip(plan.w, plan.mods))
-
-
-def _coset_key(plan: _StrictPlan, image: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(sum(a * b for a, b in zip(row, image)) % m for row, m in zip(plan.quotient, plan.key_mods))
-
-
-def _coset_verdict(plan: _StrictPlan, n: int, image: Tuple[int, ...]) -> bool:
-    """Strict clause (iv): whether some point of image + K meets the
-    coprimality conditions.  One verdict per (n, coset), from a scan of the
-    coset the first time it is seen."""
-    key = (n, _coset_key(plan, image))
-    verdict = plan.verdicts.get(key)
-    if verdict is None:
-        verdict = plan.verdicts[key] = any(
-            _good_point(plan.d, n, [y + z for y, z in zip(image, shift)])
-            for shift in _kernel_image_group(plan.d)
-        )
-    return verdict
+    return _StrictPlan(sf, ((0,) * (d - 1),) + tuple(zip(*sf.u)), checks)
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +397,11 @@ def _c_index(d: int) -> Dict[Tuple[int, ...], List[Tuple[int, int, int]]]:
     return index
 
 
-def _constant_w(p: HgParam) -> Sequence[Tuple[int, int, int]]:
-    """The c-triples of _c_candidates with w(s) constant over the units, in
-    that order; none unless (R) holds, the one regularity guard of (D).
+def _first_c(p: HgParam, published: bool, c: Optional[Tuple[int, ...]] = None) -> Optional[Tuple[int, ...]]:
+    """On a parameter known to meet (R): the first c-triple passing (D), in
+    _c_candidates order, or with c given, c reduced mod d and sorted if it
+    passes.  find_c and det_condition test (R) first; search_chunk and
+    full_report have tested it already.
 
     w(s) = sum_{i,j} [s(b_j - a_i)] - sum_{i != j} [s(b_j - b_i)] + n S_c(s).
     Under (R) the alphas and betas are separated under every unit s: in a
@@ -456,10 +412,12 @@ def _constant_w(p: HgParam) -> Sequence[Tuple[int, int, int]]:
     w(s) = n (P(s) + S_c(s)) - d C(n,2), constant exactly when the profile
     of c is (P(u_0) - P(s))_s.
     """
-    if not is_regular(p):
-        return ()
     sums = unit_brackets(p.d, [b - a for a, b in zip(p.alphas, p.betas)])
-    return _c_index(p.d).get(tuple(sums[0] - x for x in sums), ())
+    cs = _c_index(p.d).get(tuple(sums[0] - x for x in sums), ())
+    if c is not None:
+        c = tuple(sorted(x % p.d for x in c))
+        cs = [c] if c in cs else ()
+    return next(_iv_scan(p, cs, published), None)
 
 
 def _iv_scan(p: HgParam, cs: Sequence[Tuple[int, ...]], published: bool) -> Iterator[Tuple[int, ...]]:
@@ -473,13 +431,13 @@ def _iv_scan(p: HgParam, cs: Sequence[Tuple[int, ...]], published: bool) -> Iter
             if coeffs is not None and _good_point(d, n, gamma_exponents(coeffs, d)):
                 yield c
         return
-    plan = _strict_plan(d)
+    plan = _strict_plan(d, n)
     f0 = build_f(p, (0, 0, 0))
     y0 = [sum(a * b for a, b in zip(row, f0)) for row in plan.sf.u]
     for c in cs:
         cols = [plan.u_delta[x] for x in c]
-        image = _strict_image(plan, [a + n * (b1 + b2 + b3) for a, b1, b2, b3 in zip(y0, *cols)])
-        if image is not None and _coset_verdict(plan, n, image):
+        z = lattice_coordinates(plan.sf, [a + n * (b1 + b2 + b3) for a, b1, b2, b3 in zip(y0, *cols)])
+        if z is not None and all(sum(a * b for a, b in zip(row, z)) % e == 0 for row, e in plan.checks):
             yield c
 
 
@@ -494,14 +452,13 @@ def det_condition(p: HgParam, c: Tuple[int, int, int], published: bool = True) -
     reflect.  With published=False the test is existential over the whole
     integer solution lattice, a weaker but solution-independent reading.
     """
-    c = tuple(sorted(x % p.d for x in c))
-    return c in _constant_w(p) and any(_iv_scan(p, [c], published))
+    return is_regular(p) and _first_c(p, published, c) is not None
 
 
 def find_c(p: HgParam, published: bool = True) -> Optional[Tuple[int, int, int]]:
     """First admissible c-triple making (D) hold, scanning (0,0,0) then the
     all-nonzero triples in lexicographic order."""
-    return next(_iv_scan(p, _constant_w(p), published), None)
+    return _first_c(p, published) if is_regular(p) else None
 
 
 def bm_published(p: HgParam) -> bool:
@@ -576,10 +533,10 @@ def full_report(p: HgParam) -> CriteriaReport:
     bm_pass, bullet = bm(p)
     stab = scaling_stabilizer(p)
     min_u = minimal_admissible_subgroup(p)
-    if p.c is not None:
-        c = p.c if det_condition(p, p.c) else None
+    if regular and p.c is not None:
+        c = p.c if _first_c(p, True, p.c) else None
     else:
-        c = find_c(p)
+        c = _first_c(p, True) if regular else None
     return CriteriaReport(
         param=p,
         hodge=hodge,

@@ -22,7 +22,7 @@ def bracket(x: int, d: int) -> int:
 @lru_cache(maxsize=None)
 def prime_divisors(m: int) -> tuple[int, ...]:
     """The distinct primes dividing m >= 1, increasing, by trial division.
-    Memoised, as the strict coset scan asks for d's primes at every point."""
+    Memoised, as clause (iv) asks for d's primes at every point it tests."""
     out = []
     q = 2
     while q * q <= m:

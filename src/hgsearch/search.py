@@ -16,7 +16,7 @@ import os
 from bisect import bisect_right
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .criteria import bm, bm_published, find_c, is_regular, regular_room
+from .criteria import _first_c, bm, bm_published, is_regular, regular_room
 from .params import MAX_D, MAX_N, MAX_WORKERS, HgParam, canonical_form, parse, validate
 
 
@@ -150,7 +150,7 @@ def search_chunk(args) -> Tuple[str, List[dict]]:
             continue
         if not (bm_published(p) if published else bm(p)[0]):
             continue
-        c = find_c(p, published=published)
+        c = _first_c(p, published)
         if c is None:
             continue
         out.append({"d": d, "alpha": list(p.alphas), "beta": list(p.betas), "c": list(c)})

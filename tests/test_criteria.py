@@ -13,6 +13,8 @@ from hgsearch.criteria import (
     NonIntegralDegree,
     _c_candidates,
     _c_index,
+    _good_point,
+    _strict_plan,
     bm,
     bm_finite,
     bm_published,
@@ -33,8 +35,19 @@ from hgsearch.criteria import (
     solve_in_E,
     solve_in_E_basis,
 )
-from hgsearch.intlattice import NoSolution, smith_form
-from hgsearch.params import BadCTriple, HgParam, SumMismatch, canonical_form, parse, scale, scaling_orbit, validate
+from hgsearch.intlattice import NoSolution, lattice_coordinates, smith_form
+from hgsearch.params import (
+    MAX_D,
+    MAX_N,
+    BadCTriple,
+    HgParam,
+    SumMismatch,
+    canonical_form,
+    parse,
+    scale,
+    scaling_orbit,
+    validate,
+)
 from hgsearch.residues import (
     UnitSubgroup,
     complements,
@@ -642,28 +655,26 @@ def test_solve_in_E_matches_reference_and_basis_solve():
     # strict mode's solve over the whole integer lattice: any solution it
     # returns re-expands to f, it fails wherever f is outside the rational
     # span, and it solves wherever the pivot-basis solve does.  The strict
-    # plan finds a solution from U f exactly when it does, and gives the
-    # gamma image of that same solution.
-    from hgsearch.criteria import _strict_image, _strict_plan
-
+    # plan finds coordinates z from U f exactly when it does, and V z is
+    # that same solution.
     rng = random.Random(21)
     seen = Counter()
     for d in range(3, 31):
-        plan = _strict_plan(d)
+        sf = _strict_plan(d, 4).sf
         for values in _solver_cases(d, rng):
             f = tuple(values)
-            image = _strict_image(plan, [sum(a * b for a, b in zip(row, f)) for row in plan.sf.u])
+            z = lattice_coordinates(sf, [sum(a * b for a, b in zip(row, f)) for row in sf.u])
             try:
                 x = solve_in_E(f)
             except NoSolution:
                 assert solve_in_E_basis(f) is None, (d, values)
-                assert image is None, (d, values)
+                assert z is None, (d, values)
                 seen["outside the span" if _reference_solve(f) is None else "non-integral"] += 1
                 continue
             assert _reference_solve(f) is not None, (d, values)
             assert list(x) == e_basis_index(d)
             assert _combine(d, x) == f, (d, values)
-            assert image == gamma_exponents(x, d), (d, values)
+            assert list(x.values()) == [sum(a * b for a, b in zip(row, z)) for row in sf.v], (d, values)
             seen["solved"] += 1
     assert len(seen) == 3, seen
 
@@ -714,17 +725,61 @@ def _reference_y(coeffs, d):
     return Fraction(y1), [Fraction(y) for y in yps]
 
 
+def _mods(d):
+    """The moduli of the gamma image's coordinates: 4d, then 2d per prime."""
+    return (4 * d,) + (2 * d,) * len(prime_divisors(d))
+
+
+def _reference_image(coeffs, d):
+    """The gamma image of a coefficient vector, from its Fraction y-values."""
+    y1, yps = _reference_y(coeffs, d)
+    return tuple(int(y % 1 * m) for y, m in zip([y1, *yps], _mods(d)))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_kernel_group(d):
+    """The kernel image group K: the subgroup of Z/4d x (Z/2d)^m generated
+    by the images of a kernel basis of the epsilon matrix, taken from a
+    Smith form of its own and listed by a breadth-first walk."""
+    idx, mods = e_basis_index(d), _mods(d)
+    cols = [epsilon(d, k, a) for k, a in idx]
+    sf = smith_form([[col[i] for col in cols] for i in range(d - 1)])
+    gens = [_reference_image(dict(zip(idx, v)), d) for v in list(zip(*sf.v))[sf.rank :]]
+    zero = (0,) * len(mods)
+    group, frontier = {zero}, [zero]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = tuple((a + b) % m for a, b, m in zip(cur, g, mods))
+            if nxt not in group:
+                group.add(nxt)
+                frontier.append(nxt)
+    return tuple(sorted(group))
+
+
+def _scan_coset(d, n, h):
+    """Strict clause (iv) by scanning the coset h + K point by point."""
+    mods = _mods(d)
+    return any(
+        _good_point(d, n, [(a + b) % m for a, b, m in zip(h, k, mods)]) for k in _reference_kernel_group(d)
+    )
+
+
+def _strict_key(d, n, z):
+    """The strict plan's checks on lattice coordinates z; clause (iv) holds
+    exactly when every entry is 0."""
+    return tuple(sum(a * b for a, b in zip(row, z)) % e for row, e in _strict_plan(d, n).checks)
+
+
 def _reference_coset_good(coeffs, d, n):
     """Some shift of the solution's y-values by the kernel image group
     passes the coprimality conditions."""
-    from hgsearch.criteria import _kernel_image_group
-
     y1, yps = _reference_y(coeffs, d)
     return any(
         _reference_coprime(
             y1 + Fraction(z[0], 4 * d), [y + Fraction(w, 2 * d) for y, w in zip(yps, z[1:])], d, n
         )
-        for z in _kernel_image_group(d)
+        for z in _reference_kernel_group(d)
     )
 
 
@@ -986,69 +1041,140 @@ def test_hodge_degrees_raise_only_on_a_broken_sum_rule():
     assert hodge_degrees(HgParam(d, alphas, (1, 2, 6)))[1] == [2, 3, 4]
 
 
-def test_coset_key_separates_cosets():
-    # key(h) == key(h') exactly when h - h' lies in the kernel image group K
-    from hgsearch.criteria import _coset_key, _kernel_image_group, _strict_plan
+def _coordinates(d, coeffs):
+    """The strict plan's lattice coordinates z of the solutions of
+    M x = M coeffs, which differ from coeffs by a kernel vector."""
+    sf = _strict_plan(d, 1).sf
+    f = _combine(d, coeffs)
+    return lattice_coordinates(sf, [sum(a * b for a, b in zip(row, f)) for row in sf.u])
 
+
+def test_coset_key_separates_cosets():
+    # key(h) = 0 exactly when h lies in H + K, and key(h) == key(h')
+    # exactly when h - h' does, against the scan over the reference K; the
+    # key of an image h is the plan's checks on its lattice coordinates
     rng = random.Random(13)
     seen = Counter()
     for d in [*range(3, 25), 30, 36, 42]:
-        plan, group = _strict_plan(d), _kernel_image_group(d)
-        members = set(group)
-        # the key takes one value per coset of K in H
-        assert math.prod(plan.key_mods) * len(group) == math.prod(plan.mods), d
-
-        def draw():
-            return tuple(rng.randrange(m) for m in plan.mods)
-
-        def add(h, k, sign=1):
-            return tuple((x + sign * y) % m for x, y, m in zip(h, k, plan.mods))
-
-        for _ in range(100):
-            h = draw()
-            for other in (draw(), add(h, rng.choice(group)), add(h, add(rng.choice(group), draw()))):
-                same = add(h, other, -1) in members
-                assert (_coset_key(plan, h) == _coset_key(plan, other)) == same, (d, h, other)
+        idx, mods = e_basis_index(d), _mods(d)
+        draws = []
+        for _ in range(8):
+            coeffs = {key: rng.randint(-6, 6) for key in rng.sample(idx, min(len(idx), 5))}
+            draws.append((_coordinates(d, coeffs), _reference_image(coeffs, d)))
+        for n in (2, 3, 4, 6):
+            keys = [(_strict_key(d, n, z), h) for z, h in draws]
+            for key, h in keys:
+                assert (not any(key)) == _scan_coset(d, n, h), (d, n, h)
+            for (key, h), (other, h2) in itertools.combinations(keys, 2):
+                same = _scan_coset(d, n, tuple((a - b) % m for a, b, m in zip(h, h2, mods)))
+                assert (key == other) == same, (d, n, h, h2)
                 seen[same] += 1
-    # h + k pairs give 2500 equal keys; equal keys from random pairs add more
-    assert seen[True] > 2500 and seen[False] > 4000, seen
+    assert seen[True] > 500 and seen[False] > 500, seen
 
 
 def test_coset_test_matches_direct_scan():
     # The published reading must match the conditions on the unreduced
-    # y-values of the given solution.  The strict lookup, one verdict per
-    # coset key, must match the same conditions on every shift of that
-    # solution's image by the kernel image group.
-    from hgsearch.criteria import _coset_verdict, _good_point, _strict_plan
-
+    # y-values of the given solution.  The strict test must match the scan
+    # of the solution's image h + K, and of h + k for a point k of K, for
+    # d 3..40 and 60 and n 1..7; up to d = 24 the scan on Fraction y-values
+    # agrees too.
     rng = random.Random(3)
     outcomes = {True: set(), False: set()}
-    for d in range(3, 25):
-        idx = e_basis_index(d)
-        for _ in range(20):
+    for d in [*range(3, 41), 60]:
+        idx, mods = e_basis_index(d), _mods(d)
+        for _ in range(12 if d <= 24 else 4):
             coeffs = {key: rng.randint(-6, 6) for key in rng.sample(idx, min(len(idx), 5))}
             y1, yps = _reference_y(coeffs, d)
             image = gamma_exponents(coeffs, d)
-            assert image == tuple(
-                y % 1 * m for y, m in zip([y1] + yps, [4 * d] + [2 * d] * len(yps))
-            ), (d, coeffs)
-            for n in (3, 4, 6):
+            assert image == _reference_image(coeffs, d), (d, coeffs)
+            shifted = tuple((a + b) % m for a, b, m in zip(image, rng.choice(_reference_kernel_group(d)), mods))
+            z = _coordinates(d, coeffs)
+            for n in range(1, 8):
                 want = _reference_coprime(y1, yps, d, n)
                 assert _good_point(d, n, image) == want, (d, n, coeffs)
                 outcomes[True].add(want)
-                want = _reference_coset_good(coeffs, d, n)
-                assert _coset_verdict(_strict_plan(d), n, image) == want, (d, n, coeffs)
+                want = _scan_coset(d, n, image)
+                assert (not any(_strict_key(d, n, z))) == want == _scan_coset(d, n, shifted), (d, n, coeffs)
+                if d <= 24 and n in (3, 4, 6):
+                    assert _reference_coset_good(coeffs, d, n) == want, (d, n, coeffs)
                 outcomes[False].add(want)
     assert outcomes == {True: {True, False}, False: {True, False}}
 
 
 def test_each_modulus_has_its_own_coset_verdicts():
-    # the verdicts are keyed by (n, coset key) without d, so one dict shared
-    # by every modulus would let one d's verdict answer for another's
-    from hgsearch.criteria import _strict_plan
+    # the checks are built per (d, n): built from d = 30 down to 5 in one
+    # process, each modulus's strict verdicts equal the scan at that d
+    _strict_plan.cache_clear()
+    rng = random.Random(8)
+    outcomes = Counter()
+    for d in range(30, 4, -1):
+        idx = e_basis_index(d)
+        for _ in range(6):
+            coeffs = {key: rng.randint(-6, 6) for key in rng.sample(idx, min(len(idx), 5))}
+            z, h = _coordinates(d, coeffs), _reference_image(coeffs, d)
+            for n in (4, 6):
+                want = _scan_coset(d, n, h)
+                assert (not any(_strict_key(d, n, z))) == want, (d, n, coeffs)
+                outcomes[want] += 1
+    assert len(outcomes) == 2, outcomes
 
-    plans = [_strict_plan(d) for d in range(5, 19)]
-    assert len({id(plan.verdicts) for plan in plans}) == len(plans)
+
+def _good_subgroup(d, n, i):
+    """The generator g_i of the good subgroup of coordinate i of the gamma
+    image, from the valuation bounds of _StrictPlan's docstring: for an
+    even n, 4 | y_1 (d odd) or 8 | y_1 (d even); and for each prime r | n,
+    v_r(y_p) >= v_r(D) with D = d or 2d as in _b_p."""
+    if i == 0:
+        return 1 if n % 2 else 4 if d % 2 else 8
+    pp = prime_divisors(d)[i - 1]
+    big = d if d % 4 == 0 or pp % 4 == 1 else 2 * d
+    return math.prod(r ** _valuation(big, r) for r in prime_divisors(n))
+
+
+def _valuation(x, r):
+    v = 0
+    while x % r == 0:
+        x, v = x // r, v + 1
+    return v
+
+
+def _axis(d, i, t):
+    return [t * (j == i) for j in range(len(_mods(d)))]
+
+
+def test_good_set_of_each_coordinate_is_a_subgroup():
+    # strict (D) rests on this: along each axis, _good_point accepts
+    # exactly the multiples of g_i, and elsewhere it is the product of its
+    # coordinate tests
+    rng = random.Random(34)
+    outcomes = Counter()
+    for d in range(3, MAX_D + 1):
+        mods = _mods(d)
+        for n in range(1, MAX_N + 1):
+            for i, m in enumerate(mods):
+                g = _good_subgroup(d, n, i)
+                assert m % g == 0, (d, n, i)
+                good = [t for t in range(m) if _good_point(d, n, _axis(d, i, t))]
+                assert good == list(range(0, m, g)), (d, n, i)
+            for _ in range(4):
+                h = [rng.randrange(m) for m in mods]
+                want = all(_good_point(d, n, _axis(d, i, t)) for i, t in enumerate(h))
+                assert _good_point(d, n, h) == want, (d, n, h)
+                outcomes[want] += 1
+    assert len(outcomes) == 2, outcomes
+
+
+def test_strict_plan_refuses_a_good_set_that_is_not_a_subgroup(monkeypatch):
+    from hgsearch import criteria
+
+    build = _strict_plan.__wrapped__
+    # multiples of 4 in y_1 form a subgroup, and the plan builds
+    monkeypatch.setattr(criteria, "_good_point", lambda d, n, image: image[0] % 4 == 0)
+    assert build(5, 4).checks
+    # 0 and 2 alone do not: 2 + 2 = 4 is left out
+    monkeypatch.setattr(criteria, "_good_point", lambda d, n, image: image[0] in (0, 2))
+    with pytest.raises(ValueError, match="coordinate 0 of the gamma image has no good subgroup at d=5, n=4"):
+        build(5, 4)
 
 
 def _reference_bm_failures(p):

@@ -30,7 +30,7 @@ CASES = (
     # solve; at d=30 its common denominator is 4
     ["search", "--n", "4", "--partition", "3,1", "--d-min", "18", "--d-max", "20"],
     ["search", "--n", "4", "--partition", "2,2", "--d-min", "24", "--d-max", "30"],
-    # strict mode at d = 18, 20 and 24 pins the clause-(iv) coset scan
+    # strict mode at d = 18, 20 and 24 pins the clause-(iv) membership test
     [
         "search", "--n", "4", "--partition", "2,2", "--d-min", "17", "--d-max", "24",
         "--strict-criteria",
@@ -39,7 +39,7 @@ CASES = (
         "search", "--n", "4", "--partition", "3,1", "--d-min", "17", "--d-max", "20",
         "--strict-criteria",
     ],
-    # d=30 has three prime divisors, so its strict coset key has four
+    # d=30 has three prime divisors, so its gamma image has four
     # coordinates
     [
         "search", "--n", "4", "--partition", "3,1", "--d-min", "25", "--d-max", "30",

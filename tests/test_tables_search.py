@@ -436,10 +436,10 @@ print(json.dumps([run_search(SearchSpec(n=4, partition=p, d_min=d, d_max=d, publ
 
 
 def test_strict_search_in_one_process_matches_each_modulus_run_cold():
-    # the strict (D) solve keys its coset verdicts by (n, key) alone, so a
-    # verdict cache shared across moduli would answer one d from another:
-    # the answers up to d=23 would hold, and 16 (2,2) and 14 (3,1) rows too
-    # many would pass at d=24
+    # the strict (D) checks are built once per (d, n), so a cache that let
+    # one modulus's checks answer for another's would show here: a verdict
+    # cache keyed without d once let 16 (2,2) and 14 (3,1) rows too many
+    # pass at d=24
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     cold = {(2, 2): [], (3, 1): []}
     for d in range(5, 25):
