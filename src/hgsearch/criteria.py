@@ -9,13 +9,13 @@ lattice computation in the span of the epsilon functions.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from .cycrows import echelon, ring
 from .intlattice import NoSolution, SmithForm, lattice_coordinates, smith_form, solve_lattice
 from .params import MAX_D, HgParam
 from .residues import (
@@ -230,9 +230,9 @@ def _solve_transform(d: int):
     the matrix M_piv of pivot columns over the d-1 points.
 
     Pivots are taken greedily in listed order: a column is a pivot when it
-    lies outside the rational span of the pivots before it, which one
-    fraction-free elimination against the echelon rows of the earlier
-    pivots decides.
+    lies outside the rational span of the pivots before it.  Those are the
+    leading columns of an echelon basis of the rows of the epsilon matrix,
+    which cycrows.echelon gives with the integers as Z[zeta_1].
 
     Returns (idx, cols, piv, sf).  Solving against the pivot columns alone
     (all other coefficients zero) mirrors the published computation, which
@@ -240,20 +240,10 @@ def _solve_transform(d: int):
     searching the full solution lattice.
     """
     idx, cols = _e_columns(d)
-    piv: List[int] = []
-    echelon: List[Tuple[int, List[int]]] = []  # (leading index, row), one per pivot
-    for j, col in enumerate(cols):
-        v = list(col)
-        for lead, row in echelon:
-            if v[lead]:
-                a, b = row[lead], v[lead]
-                v = [a * x - b * y for x, y in zip(v, row)]
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is not None:
-            g = math.gcd(*v)
-            echelon.append((lead, [x // g for x in v]))
-            piv.append(j)
-    return idx, cols, tuple(piv), smith_form(_matrix([cols[k] for k in piv], d - 1))
+    deg, low, _ = ring(1)
+    rows = echelon([[[x] for x in row] for row in _matrix(cols, d - 1)], deg, low)
+    piv = tuple(next(j for j, x in enumerate(row) if x[0]) for row in rows)
+    return idx, cols, piv, smith_form(_matrix([cols[k] for k in piv], d - 1))
 
 
 def solve_in_E_basis(f: Sequence[int]) -> Optional[Dict[Tuple[int, int], int]]:
@@ -512,9 +502,6 @@ class CriteriaReport(NamedTuple):
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=False)
-
     def passes(self, bm_excused: bool) -> bool:
         """The one pass rule: (R), (BM) unless the failure is excused, and (D)."""
         return self.regular and (self.bm_pass or bm_excused) and self.d_pass
@@ -533,10 +520,7 @@ def full_report(p: HgParam) -> CriteriaReport:
     bm_pass, bullet = bm(p)
     stab = scaling_stabilizer(p)
     min_u = minimal_admissible_subgroup(p)
-    if regular and p.c is not None:
-        c = p.c if _first_c(p, True, p.c) else None
-    else:
-        c = _first_c(p, True) if regular else None
+    c = _first_c(p, True, p.c) if regular else None
     return CriteriaReport(
         param=p,
         hodge=hodge,

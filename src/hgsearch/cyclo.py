@@ -9,14 +9,14 @@ product of the conjugates by the integer norm.  Fraction appears only where
 rationals enter or leave (the constructor, from_rational, coeffs).  No
 floating point anywhere: rank and determinant decisions must be exact.
 
-Matrices have two eliminations.  det and inv run a forward pass that
-clears below each pivot only: det is the product of the pivots times the
-sign of the row swaps, and inv runs the pass on [A | I] and finishes by
-back-substitution.  rank, and the image chain behind
-unipotent_block_sizes, eliminate fraction-free on integer rows (each row
-over its common denominator, divided by its content), so they invert
-nothing.  The integer kernels, convolution and reduction included, live
-in cycrows.
+Matrix products, rank and the image chain behind unipotent_block_sizes
+run on integer rows (each row over its common denominator) through the
+cycrows kernels: a product applies the left factor to each column of the
+right one, and rank and the image chain eliminate fraction-free, so they
+invert nothing.  det and inv run a forward pass that clears below each
+pivot only: det is the product of the pivots times the sign of the row
+swaps, and inv runs the pass on [A | I] and finishes by back-substitution.
+The integer kernels, convolution and reduction included, live in cycrows.
 """
 
 from __future__ import annotations
@@ -257,26 +257,20 @@ class CycMatrix:
         )
 
     def __mul__(self, other: "CycMatrix") -> "CycMatrix":
-        """Each entry is one integer sum of row-by-column products over the
-        common denominator of its row and column, reduced once."""
+        """Column j of the product is cycrows.apply of the left factor, over
+        the common denominator of its entries, to column j of the right one."""
         self._check(other)
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         level = self.level
-        width = 2 * ring(level)[0] - 1
-        rows = [_over_common_den(row) for row in self.entries]
-        cols = [_over_common_den(col) for col in zip(*other.entries)]
-        out = []
-        for xs, xden in rows:
-            row = []
-            for ys, yden in cols:
-                acc = [0] * width
-                for x, y in zip(xs, ys):
-                    if any(x) and any(y):
-                        mac(acc, x, y)
-                row.append(_cyc(level, acc, xden * yden))
-            out.append(row)
-        return CycMatrix(level, out)
+        deg, low, _ = ring(level)
+        den = math.lcm(*(x.den for row in self.entries for x in row))
+        mat = [_over_common_den(row, den)[0] for row in self.entries]
+        cols = []
+        for col in zip(*other.entries):
+            ys, yden = _over_common_den(col)
+            cols.append([_cyc(level, x, den * yden) for x in apply(mat, ys, deg, low)])
+        return CycMatrix(level, [[col[i] for col in cols] for i in range(self.rows)])
 
     def __pow__(self, k: int) -> "CycMatrix":
         if self.rows != self.cols:

@@ -76,11 +76,10 @@ def levelt_matrices(p: HgParam) -> LeveltPair:
 
 
 @lru_cache(maxsize=1)
-def _levelt(p: HgParam) -> tuple[LeveltPair, CycMatrix]:
-    """The Levelt pair of p and A^{-1}B.  verify_levelt runs its checks on
-    one parameter in a row; keeping the last one lets them share one build."""
-    pair = levelt_matrices(p)
-    return pair, pair.a.inv() * pair.b
+def _levelt(p: HgParam) -> LeveltPair:
+    """The Levelt pair of p.  verify_levelt runs its checks on one parameter
+    in a row; keeping the last one lets them share one build."""
+    return levelt_matrices(p)
 
 
 def _char_poly_check(m: CycMatrix, exponents) -> bool:
@@ -99,18 +98,20 @@ def _char_poly_check(m: CycMatrix, exponents) -> bool:
 
 
 def verify_pseudoreflection(p: HgParam) -> bool:
-    """rank(A^{-1}B - I) = 1 and det(A^{-1}B) = +1 (d odd) or -1 (d even).
+    """A^{-1}B is a pseudoreflection with determinant +1 (d odd) or -1
+    (d even), read off B - A with no inverse: A^{-1}B - I = A^{-1}(B - A)
+    has rank 1 exactly when B - A has rank 1 and A is invertible, and
+    det(A^{-1}B) = det B / det A.
 
-    Holds by construction on every valid parameter: A^{-1}B - I is
-    A^{-1}(B - A), and B - A is zero outside a last column that the
-    disjoint alphas and betas make nonzero; the determinant is
-    zeta_d^{sum(beta) - sum(alpha)}, fixed by the sum rule.  So this tests
-    the cyclo arithmetic, not the criteria."""
-    _, m = _levelt(p)
-    if (m - CycMatrix.identity(m.level, p.n)).rank() != 1:
+    Holds by construction on every valid parameter: B - A is zero outside
+    a last column that the disjoint alphas and betas make nonzero, and the
+    determinant ratio is zeta_d^{sum(beta) - sum(alpha)}, fixed by the sum
+    rule.  So this tests the cyclo arithmetic, not the criteria."""
+    a, b = _levelt(p)
+    if (b - a).rank() != 1:
         return False
-    want = pseudoreflection_det(p.d)
-    return m.det() == CycNum.from_rational(m.level, want)
+    det_a = a.det()
+    return not det_a.is_zero() and b.det() == det_a * pseudoreflection_det(p.d)
 
 
 def verify_infinity_blocks(p: HgParam) -> bool:
@@ -122,8 +123,7 @@ def verify_infinity_blocks(p: HgParam) -> bool:
     Holds by construction on every valid parameter: a companion matrix is
     cyclic, and J_m(z)^d is a single block in characteristic 0.  So this
     tests the cyclo arithmetic, not the criteria."""
-    pair, _ = _levelt(p)
-    ad = companion_power(pair.a, p.d)
+    ad = companion_power(_levelt(p).a, p.d)
     return unipotent_block_sizes(ad) == jordan_blocks(p)
 
 
@@ -134,7 +134,7 @@ def verify_det_identities(p: HgParam) -> bool:
     Holds by construction on every valid parameter: the determinants are
     products of d-th roots of unity, and the sum rule fixes their ratio.
     So this tests the cyclo arithmetic, not the criteria."""
-    pair, _ = _levelt(p)
+    pair = _levelt(p)
     one = CycNum.one(pair.a.level)
     det_a, det_b = pair.a.det(), pair.b.det()
     if det_a ** p.d != one:
@@ -222,7 +222,7 @@ def verify_levelt(p: HgParam) -> bool:
     matrices of their exponents), so this tests the cyclo arithmetic, not
     the criteria.  Only jacobi.hodge_newton_check compares a criterion-side
     value with an independent one."""
-    pair, _ = _levelt(p)
+    pair = _levelt(p)
     if not _char_poly_check(pair.a, p.alphas):
         return False
     if not _char_poly_check(pair.b, p.betas):

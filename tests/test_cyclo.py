@@ -361,10 +361,27 @@ def test_rectangular_rank_matches_fraction_reference(level, shape, data):
     assert a.rank() == _ref_eliminated(_ref_matrix(a))[1]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_MATRIX_LEVELS), st.sampled_from(_RECTANGLES), st.data())
+def test_rectangular_product_matches_fraction_reference(level, shape, data):
+    a, b = _matrix(data, level, *shape), _matrix(data, level, *shape[::-1])
+    ra, rb = _ref_matrix(a), _ref_matrix(b)
+    assert _coeffs_of(a * b) == _coeffs_of(_ref_matmul(ra, rb))
+    assert _coeffs_of(b * a) == _coeffs_of(_ref_matmul(rb, ra))
+
+
+def test_empty_products_keep_their_shapes():
+    one = CycNum.one(5)
+    cases = [([[], []], [], (2, 0)), ([], [], (0, 0)), ([[one, one]], [[], []], (1, 0))]
+    for a, b, shape in cases:
+        m = CycMatrix(5, a) * CycMatrix(5, b)
+        assert (m.rows, m.cols) == shape and m.entries == [[]] * shape[0]
+
+
 @st.composite
-def _valid_params(draw):
-    d = draw(st.integers(3, 14))
-    n = draw(st.integers(1, min(4, d - 1)))
+def _valid_params(draw, max_d=14, max_n=4):
+    d = draw(st.integers(3, max_d))
+    n = draw(st.integers(1, min(max_n, d - 1)))
     betas = draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n, unique=True))
     free = [x for x in range(d) if x not in betas]
     alphas = draw(st.lists(st.sampled_from(free), min_size=n - 1, max_size=n - 1))

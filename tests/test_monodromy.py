@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hgsearch import monodromy
+from hgsearch.criteria import pseudoreflection_det
 from hgsearch.cyclo import CycMatrix, CycNum
 from hgsearch.monodromy import (
+    LeveltPair,
     TruncSeries,
     companion_power,
     gj_coefficients,
@@ -71,6 +73,71 @@ def test_each_structural_check_fails_on_a_broken_layer(monkeypatch):
 
     monkeypatch.setattr(monodromy, "unipotent_block_sizes", lambda m: real_blocks(m)[::-1])
     assert not verify_infinity_blocks(P18)
+
+
+def _reference_pseudoreflection(pair, d):
+    """The reading through the inverse: A^{-1}B - I has rank 1 and
+    det(A^{-1}B) is +1 (d odd) or -1 (d even)."""
+    m = pair.a.inv() * pair.b
+    if (m - CycMatrix.identity(m.level, m.rows)).rank() != 1:
+        return False
+    return m.det() == CycNum.from_rational(m.level, pseudoreflection_det(d))
+
+
+def test_pseudoreflection_matches_inverse_reading_on_special_rows():
+    for row in SPECIAL_ROWS:
+        p = row_param(row)
+        want = _reference_pseudoreflection(levelt_matrices(p), p.d)
+        assert (verify_pseudoreflection(p), want) == (True, True), p.literal()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_valid_params(max_d=30, max_n=6))
+def test_pseudoreflection_matches_inverse_reading(p):
+    want = _reference_pseudoreflection(levelt_matrices(p), p.d)
+    assert (verify_pseudoreflection(p), want) == (True, True)
+
+
+def test_pseudoreflection_refuses_broken_pairs(monkeypatch):
+    # B differs from A in two columns; then a singular A, and a B that
+    # differs from it in the last column only, so det B = det A = 0
+    a, b = levelt_matrices(P9)
+    level, n = a.level, a.rows
+    zero, one = CycNum.zero(level), CycNum.one(level)
+    two_cols = [row[:] for row in b.entries]
+    two_cols[0][0] = one
+    sing_a = [row[:] for row in a.entries]
+    sing_a[0][n - 1] = zero
+    sing_b = [row[:] for row in sing_a]
+    sing_b[1][n - 1] = sing_b[1][n - 1] + 1
+    broken = LeveltPair(a, CycMatrix(level, two_cols))
+    singular = LeveltPair(CycMatrix(level, sing_a), CycMatrix(level, sing_b))
+    assert not _reference_pseudoreflection(broken, P9.d)
+    with pytest.raises(ZeroDivisionError):
+        _reference_pseudoreflection(singular, P9.d)
+    for pair in (broken, singular):
+        monkeypatch.setattr(monodromy, "_levelt", lambda p, pair=pair: pair)
+        assert not verify_pseudoreflection(P9)
+
+
+def test_levelt_checks_invert_nothing(monkeypatch):
+    # no CycNum.inv call and no CycMatrix product on the special rows
+    calls = {"inv": 0, "mul": 0}
+    real_inv, real_mul = CycNum.inv, CycMatrix.__mul__
+
+    def counting(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(CycNum, "inv", counting("inv", real_inv))
+    monkeypatch.setattr(CycMatrix, "__mul__", counting("mul", real_mul))
+    monodromy._levelt.cache_clear()
+    for row in SPECIAL_ROWS:
+        assert verify_levelt(row_param(row))
+    assert calls == {"inv": 0, "mul": 0}
 
 
 def test_gj_leading_coefficient_is_one():
