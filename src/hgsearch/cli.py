@@ -16,7 +16,7 @@ from typing import List, Optional
 from .criteria import full_report
 from .jacobi import hodge_newton_report, least_prime_above
 from .monodromy import verify_annihilation, verify_levelt
-from .params import MAX_D, MAX_WORKERS, ValidationError, parse
+from .params import MAX_D, MAX_N, MAX_WORKERS, parse
 from .search import CheckpointError, SearchSpec, passing_moduli, run_search
 from .tables import POSSIBLE_D, reproduce_special
 
@@ -32,33 +32,26 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"{k}: {v}")
 
 
-def _parse_param(literal: str):
-    """The parameter, or None after reporting the bad literal."""
+def _command_param(literal: str):
+    """The parameter, or None after reporting a bad literal or a d or n above
+    params.MAX_D or params.MAX_N, before any arithmetic."""
     try:
-        return parse(literal)
-    except (ValidationError, ValueError) as exc:
+        p = parse(literal)
+    except ValueError as exc:
         print(f"bad parameter literal: {exc}", file=sys.stderr)
         return None
-
-
-def _verify_param(literal: str):
-    """_parse_param, also refusing d above params.MAX_D before any arithmetic."""
-    p = _parse_param(literal)
-    if p is not None and p.d > MAX_D:
-        print(f"bad parameter: d = {p.d} is above the cap {MAX_D}", file=sys.stderr)
-        return None
+    for name, value, cap in (("d", p.d, MAX_D), ("n", p.n, MAX_N)):
+        if value > cap:
+            print(f"bad parameter: {name} = {value} is above the cap {cap}", file=sys.stderr)
+            return None
     return p
 
 
 def _cmd_check(args) -> int:
-    p = _parse_param(args.param)
+    p = _command_param(args.param)
     if p is None:
         return 2
-    try:
-        rep = full_report(p)
-    except ValueError as exc:
-        print(f"bad check: {exc}", file=sys.stderr)
-        return 2
+    rep = full_report(p)
     _emit(rep.to_dict(), args.format)
     return 0 if rep.passes(args.allow_bm_discrepancy) else 1
 
@@ -130,7 +123,7 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_verify_monodromy(args) -> int:
-    p = _verify_param(args.param)
+    p = _command_param(args.param)
     if p is None:
         return 2
     ok = verify_levelt(p)
@@ -139,7 +132,7 @@ def _cmd_verify_monodromy(args) -> int:
 
 
 def _cmd_verify_ode(args) -> int:
-    p = _verify_param(args.param)
+    p = _command_param(args.param)
     if p is None:
         return 2
     try:
@@ -155,7 +148,7 @@ def _cmd_verify_ode(args) -> int:
 
 
 def _cmd_verify_jacobi(args) -> int:
-    p = _verify_param(args.param)
+    p = _command_param(args.param)
     if p is None:
         return 2
     ell = least_prime_above(p.d) if args.ell is None else args.ell

@@ -21,12 +21,12 @@ from typing import NamedTuple, Optional, Sequence
 
 from .residues import units
 
-# check, search and the verify commands refuse d above MAX_D, and search
-# refuses n above MAX_N and more than MAX_WORKERS worker processes:
-# full_report takes under a second up to d = 120, and its walk over the
-# subgroups of (Z/dZ)^x a quarter second up to d = 240, but a search visits
-# about C(d, n)/d beta sets per alpha shape, its answers are tested only up
-# to d = 30, and verify-jacobi works mod l^d
+# check, search and the verify commands refuse d above MAX_D and n above
+# MAX_N, and search more than MAX_WORKERS worker processes: full_report
+# takes under a second up to d = 120, but a search visits about C(d, n)/d
+# beta sets per alpha shape and is tested only up to d = 30, verify-jacobi
+# works mod l^d, and verify-ode --order 1000 at d = 120 takes 4-7 s at
+# n = 7 but over a minute at n = 20
 MAX_D = 120
 MAX_N = 7
 MAX_WORKERS = 64

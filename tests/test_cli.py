@@ -1,9 +1,10 @@
+import argparse
 import importlib
 import json
 
 import pytest
 
-from hgsearch.cli import main
+from hgsearch.cli import build_parser, main
 
 
 def test_check_pass(capsys):
@@ -241,7 +242,7 @@ def test_check_d_above_the_cap(capsys):
     param = f"d={d};a=0,0;b=1,{(-1 - d * (d - 1) // 2) % d}"
     assert main(["check", "--param", param]) == 2
     err = capsys.readouterr().err
-    assert "bad check" in err and str(MAX_D) in err
+    assert "bad parameter" in err and str(MAX_D) in err
 
 
 @pytest.mark.parametrize("which", ["n", "d_max"])
@@ -277,25 +278,36 @@ def test_verify_jacobi_large_d(capsys, param, ell):
     assert json.loads(capsys.readouterr().out)["hodge_match"] is True
 
 
-@pytest.mark.parametrize("cmd", ["verify-monodromy", "verify-ode", "verify-jacobi"])
-def test_verify_d_above_the_cap(monkeypatch, capsys, cmd):
-    from hgsearch import monodromy
-    from hgsearch.params import MAX_D
+def _param_commands():
+    """Every subcommand that takes a --param."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [cmd for cmd, sp in sub.choices.items() if "--param" in sp._option_string_actions]
+
+
+def test_the_param_commands():
+    assert _param_commands() == ["check", "verify-monodromy", "verify-ode", "verify-jacobi"]
+
+
+@pytest.mark.parametrize("cmd", _param_commands())
+def test_param_above_the_caps(monkeypatch, capsys, cmd):
+    from hgsearch import cli
+    from hgsearch.params import MAX_D, MAX_N
 
     def refuse(*args, **kwargs):
         raise AssertionError("arithmetic on a parameter above the cap")
 
-    # the package exports a function named jacobi, so fetch the module itself
-    jacobi = importlib.import_module("hgsearch.jacobi")
-    monkeypatch.setattr(monodromy, "verify_levelt", refuse)
-    monkeypatch.setattr(monodromy, "verify_annihilation", refuse)
-    monkeypatch.setattr(jacobi, "hodge_newton_report", refuse)
+    for name in ("full_report", "verify_levelt", "verify_annihilation", "hodge_newton_report"):
+        monkeypatch.setattr(cli, name, refuse)
     d = MAX_D + 1
-    param = f"d={d};a=0,0;b=1,{(-1 - d * (d - 1) // 2) % d}"
-    extra = ["--ell", str(jacobi.least_prime_above(d))] if cmd == "verify-jacobi" else []
-    assert main([cmd, "--param", param, *extra]) == 2
-    err = capsys.readouterr().err
-    assert "bad parameter" in err and str(MAX_D) in err
+    # valid parameters just above each cap: -(1 + x) = C(d,2) mod d, and
+    # at d = 9, where C(9,2) = 0 mod 9, the n = 8 betas 1..8 sum to 0 mod 9
+    over_d = f"d={d};a=0,0;b=1,{(-1 - d * (d - 1) // 2) % d}"
+    assert MAX_N + 1 == 8
+    over_n = "d=9;a=" + ",".join("0" * 8) + ";b=" + ",".join(map(str, range(1, 9)))
+    for param, cap in ((over_d, MAX_D), (over_n, MAX_N)):
+        assert main([cmd, "--param", param]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "bad parameter" in err and f"the cap {cap}" in err, param
 
 
 def test_search_negative_limit(capsys):

@@ -19,7 +19,6 @@ from hgsearch.monodromy import (
     verify_pseudoreflection,
 )
 from hgsearch.params import parse
-from hgsearch.residues import bracket
 from hgsearch.tables import SPECIAL_ROWS, row_param
 from test_cyclo import _valid_params
 
@@ -171,9 +170,9 @@ def _reference_gj(p, j, big_k):
     """The series as the per-factor recurrence built it: c_k = c_{k-1} *
     prod_i (A_i/d + k-1) / prod_i (B_i/d + k-1), one Fraction step per factor."""
     d, b1, bj = p.d, p.betas[0], p.betas[j - 1]
-    sh = bracket(bj - b1, d)
-    nums = [Fraction(d + bracket(a - b1, d) - sh, d) for a in p.alphas]
-    dens = [Fraction(d + bracket(b - b1, d) - sh, d) for b in p.betas]
+    sh = (bj - b1) % d
+    nums = [Fraction(d + (a - b1) % d - sh, d) for a in p.alphas]
+    dens = [Fraction(d + (b - b1) % d - sh, d) for b in p.betas]
     coeffs = [Fraction(1)]
     c = Fraction(1)
     for k in range(1, big_k + 1):
@@ -182,7 +181,7 @@ def _reference_gj(p, j, big_k):
         for z in dens:
             c /= z + (k - 1)
         coeffs.append(c)
-    return TruncSeries(exponent=bracket(b1 - bj, d), coeffs=tuple(coeffs))
+    return TruncSeries(exponent=(b1 - bj) % d, coeffs=tuple(coeffs))
 
 
 def test_series_matches_reference_on_special_rows():

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from hgsearch.residues import (
     UnitSubgroup,
-    bracket,
     closure,
     complements,
     difference_multiset,
@@ -28,30 +27,6 @@ def test_number_theory_matches_brute_force():
         assert prime_divisors(m) == tuple(primes), m
         assert is_prime(m) == (divisors == [m]), m
         assert phi(m) == sum(1 for x in range(1, m + 1) if math.gcd(x, m) == 1), m
-
-
-def test_bracket_small_values():
-    assert bracket(0, 9) == 0
-    assert bracket(5, 9) == 5
-    assert bracket(-1, 9) == 8
-    assert bracket(9, 9) == 0
-    assert bracket(23, 9) == 5
-
-
-@given(st.integers(-500, 500), st.integers(2, 60))
-def test_bracket_range_and_congruence(x, d):
-    r = bracket(x, d)
-    assert 0 <= r < d
-    assert (r - x) % d == 0
-
-
-@given(st.integers(-500, 500), st.integers(2, 60))
-def test_bracket_complement(x, d):
-    # [x] + [-x] == d unless x == 0 mod d
-    if x % d == 0:
-        assert bracket(x, d) == 0
-    else:
-        assert bracket(x, d) + bracket(-x, d) == d
 
 
 def test_units_examples():
